@@ -22,7 +22,7 @@
 //! Algorithm 2 skip provably-empty searches without changing results.
 
 use crate::graph::{NodeId, UnGraph};
-use crate::stamps::{RecordedSet, StampedSet};
+use crate::stamps::StampedSet;
 
 /// Per-node width thresholds: the largest channel width each node can
 /// relay, and the largest it can terminate as a path endpoint.
@@ -161,7 +161,7 @@ impl WidthFeasibility {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DescentReach {
-    reached: RecordedSet,
+    reached: StampedSet,
     expanded: StampedSet,
     /// Nodes grouped by relay width (clamped to the starting width);
     /// bucket `w` is drained when the descent reaches width `w`.
@@ -271,39 +271,6 @@ impl DescentReach {
     #[must_use]
     pub fn can_reach(&self, node: NodeId) -> bool {
         self.reached.contains(node.index())
-    }
-
-    /// The nodes the current reachability answers depend on: everything
-    /// reached from the target *plus* the probed-but-infeasible boundary
-    /// (the `grow` sweep marks a neighbor reached before checking its
-    /// relay feasibility, so the set is R ∪ ∂R, in visit order).
-    ///
-    /// If no node in this set changes its relay feasibility at the
-    /// current width, every [`can_reach`](DescentReach::can_reach) answer
-    /// is unchanged — any path into the unexplored region would have to
-    /// cross the recorded boundary. This is the dependency set a caller
-    /// records when it caches a decision made from a negative
-    /// reachability certificate (the serve layer's candidate cache).
-    pub fn reached_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.reached.members().iter().map(|&i| NodeId::new(i))
-    }
-
-    /// The *blocked frontier* `∂R`: nodes that were probed by the growth
-    /// sweep but could not relay at the current width (reached but never
-    /// expanded). Any path from the unexplored region to the target would
-    /// have to cross one of these, so a negative
-    /// [`can_reach`](DescentReach::can_reach) answer depends only on
-    /// their relay answers staying infeasible — the tracked half of a
-    /// reach-skip certificate (the full dependency set is still
-    /// [`reached_nodes`](DescentReach::reached_nodes)).
-    ///
-    /// The target expands unconditionally, so it is never in this set.
-    pub fn blocked_frontier(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.reached
-            .members()
-            .iter()
-            .map(|&i| NodeId::new(i))
-            .filter(move |v| !self.expanded.contains(v.index()))
     }
 
     /// Breadth-first growth from the queued expansion seeds.
@@ -487,62 +454,6 @@ mod tests {
                         "node {} at width {}", v.index(), width
                     );
                 }
-            }
-        }
-
-        /// `reached_nodes` is a sound dependency set: flipping the relay
-        /// feasibility of any node *outside* it leaves every `can_reach`
-        /// answer unchanged (and it always covers the reached set itself).
-        #[test]
-        fn unrecorded_nodes_cannot_change_reachability(
-            edges in proptest::collection::vec((0usize..10, 0usize..10), 1..30),
-            caps in proptest::collection::vec(0u32..12, 10),
-            users in proptest::collection::vec(0usize..10, 0..3),
-            target in 0usize..10,
-            width in 1u32..6,
-            new_relay in 0u32..12,
-        ) {
-            let mut g: UnGraph<(), ()> = UnGraph::new();
-            for _ in 0..10 {
-                g.add_node(());
-            }
-            for (u, v) in edges {
-                if u != v {
-                    g.add_edge(NodeId::new(u), NodeId::new(v), ());
-                }
-            }
-            let mut feas = switch_feas(&caps, &users);
-            let target = NodeId::new(target);
-            let mut reach = DescentReach::new();
-            reach.begin(&g, &feas, target, width);
-            let recorded: Vec<bool> = {
-                let mut r = vec![false; g.node_count()];
-                for v in reach.reached_nodes() {
-                    r[v.index()] = true;
-                }
-                r
-            };
-            for v in g.node_ids() {
-                if reach.can_reach(v) {
-                    prop_assert!(
-                        recorded[v.index()],
-                        "reached node {} missing from reached_nodes", v.index()
-                    );
-                }
-            }
-            let before = naive_reach(&g, &feas, target, width);
-            for v in g.node_ids() {
-                if recorded[v.index()] {
-                    continue;
-                }
-                let saved = feas.relay_width(v);
-                feas.set_node(v, new_relay, new_relay);
-                let after = naive_reach(&g, &feas, target, width);
-                prop_assert_eq!(
-                    &before, &after,
-                    "changing unrecorded node {} altered reachability", v.index()
-                );
-                feas.set_node(v, saved, saved);
             }
         }
     }

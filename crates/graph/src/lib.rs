@@ -45,16 +45,13 @@ mod path;
 mod stamps;
 mod unionfind;
 
-pub mod certificate;
 pub mod feasibility;
 pub mod search;
 pub mod yen;
 
-pub use certificate::{CertEntry, CertificateRecorder};
 pub use feasibility::{DescentReach, WidthFeasibility};
 pub use graph::{EdgeId, EdgeRef, NodeId, UnGraph};
 pub use metric::Metric;
 pub use path::{Path, PathError};
 pub use search::{SearchCounters, SearchScratch};
-pub use stamps::RecordedSet;
 pub use unionfind::{DisjointSets, GenerationalDisjointSets};

@@ -114,86 +114,6 @@ impl StampedSet {
     }
 }
 
-/// A `StampedSet` that also records its members, so the set can be
-/// enumerated after a run.
-///
-/// This is the *footprint-recording* idiom: a hot loop inserts every key
-/// it touches (O(1), no hashing), and afterwards the member list *is* the
-/// read set — e.g. the nodes whose feasibility a width-descent search
-/// depended on, which the serve layer indexes to invalidate cached
-/// candidates precisely (see `docs/ARCHITECTURE.md`, "the generation
-/// discipline"). [`DescentReach`](crate::feasibility::DescentReach)
-/// tracks its reached set in one so the dependency set of a negative
-/// reachability certificate can be read back out.
-///
-/// `clear` is O(previous members) but allocation-free after warmup;
-/// `insert` and `contains` are O(1).
-#[derive(Debug, Clone, Default)]
-pub struct RecordedSet {
-    set: StampedSet,
-    members: Vec<usize>,
-}
-
-impl RecordedSet {
-    /// Creates an empty, reusable set.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Empties the set and grows it to cover keys `0..n`.
-    pub fn clear(&mut self, n: usize) {
-        self.set.clear(n);
-        self.members.clear();
-    }
-
-    /// Inserts `key`; returns `true` if it was not yet present.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is outside the range covered by the last
-    /// [`clear`](RecordedSet::clear).
-    #[inline]
-    pub fn insert(&mut self, key: usize) -> bool {
-        if self.set.insert(key) {
-            self.members.push(key);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// `true` if `key` was inserted since the last clear.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is outside the range covered by the last
-    /// [`clear`](RecordedSet::clear).
-    #[inline]
-    #[must_use]
-    pub fn contains(&self, key: usize) -> bool {
-        self.set.contains(key)
-    }
-
-    /// The inserted keys, in insertion order.
-    #[must_use]
-    pub fn members(&self) -> &[usize] {
-        &self.members
-    }
-
-    /// Number of distinct keys inserted since the last clear.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` if nothing was inserted since the last clear.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

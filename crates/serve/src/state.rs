@@ -9,38 +9,27 @@
 //! evicts every plan crossing a failed fiber. Every successful mutation
 //! bumps the epoch; rejected admissions are strict no-ops.
 //!
+//! Every admission runs one path: Step I through a persistent
+//! [`SelectionEngine`] (which keeps the channel-success tables across
+//! admissions), then the batch pipeline's merge and Algorithm 4.
+//!
 //! The admission contract (locked down by `tests/service_oracle.rs`): the
 //! candidates, merge outcome, and finished plan of an admission against
 //! the residual ledger are byte-identical to running the batch pipeline
 //! on a network whose capacities are pre-reduced by the live plans
 //! ([`QuantumNetwork::with_capacities`]).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use fusion_core::algorithms::{
-    route_from_candidates_counted, route_with_capacity_counted, AdmitStrategy, CandidatePath,
-    RouteTrace, RoutingConfig, SelectionEngine, SelectionQuery,
+    route_from_candidates_counted, RouteTrace, RoutingConfig, SelectionEngine, SelectionQuery,
 };
 use fusion_core::{Demand, DemandId, DemandPlan, QuantumNetwork, ResourceUsage};
 use fusion_graph::{EdgeId, NodeId};
-use fusion_telemetry::{Counter, Registry};
+use fusion_telemetry::Registry;
 
-use crate::cache::CandidateCache;
 use crate::ledger::ResidualLedger;
-
-/// Upper bound on cached `(source, dest)` pair entries. Far above any
-/// realistic recurring-demand population, far below what an adversarial
-/// all-pairs trace could otherwise pin in memory.
-const MAX_CACHED_PAIRS: usize = 1024;
-
-/// The incremental admission machinery: the persistent width-descent
-/// engine and the footprint-invalidated candidate cache it feeds.
-#[derive(Debug, Clone)]
-struct IncrementalAdmission {
-    engine: SelectionEngine,
-    cache: CandidateCache,
-}
 
 /// Stable identifier of one live (or departed) plan. Ids are assigned in
 /// admission order and never reused.
@@ -137,20 +126,13 @@ pub struct ServiceState {
     next_plan: u64,
     live: BTreeMap<PlanId, LivePlan>,
     ledger: ResidualLedger,
-    /// Present iff `config.admit_strategy` is
-    /// [`AdmitStrategy::Incremental`]. Not part of the digest: the cache
-    /// only ever changes *when* work happens, never *what* is computed.
-    incremental: Option<Box<IncrementalAdmission>>,
+    /// Step I of every admission. Not part of the digest: it holds only
+    /// memoized tables and scratch buffers.
+    engine: SelectionEngine,
     /// The telemetry registry every layer under this state records into
-    /// (`serve.cache.*`, `alg2.*`, `alg3.*`, `mc.*`, `serve.replay.*`).
-    /// Disabled by default; never part of the digest.
+    /// (`alg2.*`, `alg3.*`, `mc.*`, `serve.replay.*`). Disabled by
+    /// default; never part of the digest.
     registry: Registry,
-    /// Canonical edge → epoch of its most recent `fail_link`: a repeat
-    /// cut with no interleaving mutation is a counted no-op.
-    failed_at: HashMap<EdgeId, u64>,
-    /// `fail_link` calls short-circuited as double cuts
-    /// (`serve.fail_link_noops`).
-    fail_link_noops: Counter,
 }
 
 impl ServiceState {
@@ -167,19 +149,8 @@ impl ServiceState {
     #[must_use]
     pub fn with_telemetry(net: QuantumNetwork, config: RoutingConfig, registry: Registry) -> Self {
         let ledger = ResidualLedger::new(&net);
-        let incremental = match config.admit_strategy {
-            AdmitStrategy::Incremental => {
-                let mut engine = SelectionEngine::new();
-                engine.set_registry(&registry);
-                engine.enable_spt(&registry);
-                Some(Box::new(IncrementalAdmission {
-                    engine,
-                    cache: CandidateCache::new(&net, MAX_CACHED_PAIRS, &registry),
-                }))
-            }
-            AdmitStrategy::FromScratch => None,
-        };
-        let fail_link_noops = registry.counter("serve.fail_link_noops");
+        let mut engine = SelectionEngine::new();
+        engine.set_registry(&registry);
         ServiceState {
             net,
             config,
@@ -187,15 +158,13 @@ impl ServiceState {
             next_plan: 0,
             live: BTreeMap::new(),
             ledger,
-            incremental,
+            engine,
             registry,
-            failed_at: HashMap::new(),
-            fail_link_noops,
         }
     }
 
     /// The telemetry registry this state records into. Snapshot it for
-    /// `serve.cache.*` / `alg2.*` counters, or hand it to co-operating
+    /// `alg2.*` / `alg3.*` counters, or hand it to co-operating
     /// layers (the replay loop records `serve.replay.*` through it).
     #[must_use]
     pub fn registry(&self) -> &Registry {
@@ -252,8 +221,8 @@ impl ServiceState {
 
     /// A copy of the network whose capacities equal the current residual —
     /// the batch side of the equivalence oracle: the batch pipeline on
-    /// this network must produce byte-identical output to
-    /// [`admission_trace`](ServiceState::admission_trace).
+    /// this network must produce byte-identical output to the next
+    /// [`admit_traced`](ServiceState::admit_traced).
     #[must_use]
     pub fn reduced_network(&self) -> QuantumNetwork {
         self.net.with_capacities(self.ledger.residual())
@@ -275,93 +244,34 @@ impl ServiceState {
         )
     }
 
-    /// Runs the *from-scratch* admission pipeline for `source -> dest`
-    /// against the residual ledger — always
-    /// [`route_with_capacity_counted`] end to end, regardless of
-    /// `config.admit_strategy` — *without mutating anything*, returning
-    /// the full per-stage trace. `None` when no switch has a free qubit
-    /// (the pipeline cannot run on a width bound of zero).
-    ///
-    /// This is the reference side of both equivalence oracles: the
-    /// residual-capacity oracle compares it against the batch pipeline on
-    /// [`reduced_network`](ServiceState::reduced_network), and the
-    /// incremental oracle compares cached admissions against it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source == dest`.
-    #[must_use]
-    pub fn admission_trace(&self, source: NodeId, dest: NodeId) -> Option<RouteTrace> {
+    /// The admission pipeline for `source -> dest` against the residual
+    /// ledger, without charging anything: Step I through the persistent
+    /// engine, then the merge and Algorithm 4. `None` when no switch has
+    /// a free qubit (the pipeline cannot run on a width bound of zero).
+    fn admission_trace(&mut self, source: NodeId, dest: NodeId) -> Option<RouteTrace> {
         let residual = self.ledger.residual();
-        if self.net.max_switch_capacity_in(residual) == 0 {
+        let max_switch = self.net.max_switch_capacity_in(residual);
+        if max_switch == 0 {
             return None;
         }
         let demand = self.next_demand(source, dest);
-        Some(route_with_capacity_counted(
+        let candidates = self.engine.select_demand(
+            &self.net,
+            &demand,
+            residual,
+            SelectionQuery {
+                h: self.config.h,
+                max_width: self.config.max_width.unwrap_or(max_switch),
+                mode: self.config.mode,
+            },
+        );
+        Some(route_from_candidates_counted(
             &self.net,
             &[demand],
             &self.config,
             residual,
-            1,
-            &self.registry,
-        ))
-    }
-
-    /// The incremental admission path: candidate construction through the
-    /// persistent [`SelectionEngine`], reusing every cached width slice
-    /// the cache still vouches for, then the ordinary merge + Algorithm 4
-    /// on the assembled candidates. Byte-identical to
-    /// [`admission_trace`](ServiceState::admission_trace) by the
-    /// footprint-invalidation contract (see `cache.rs`), which
-    /// `tests/incremental_oracle.rs` enforces.
-    fn incremental_trace(&mut self, source: NodeId, dest: NodeId) -> Option<RouteTrace> {
-        let ServiceState {
-            net,
-            config,
-            next_plan,
-            ledger,
-            incremental,
-            registry,
-            ..
-        } = self;
-        let residual = ledger.residual();
-        if net.max_switch_capacity_in(residual) == 0 {
-            return None;
-        }
-        let max_width = config
-            .max_width
-            .unwrap_or_else(|| net.max_switch_capacity_in(residual));
-        let demand = Demand::new(
-            DemandId::new(usize::try_from(*next_plan).expect("plan counter fits usize")),
-            source,
-            dest,
-        );
-        let key = (source, dest);
-        let IncrementalAdmission { engine, cache } = incremental
-            .as_mut()
-            .expect("incremental_trace requires the incremental strategy")
-            .as_mut();
-        let selected = engine.select_demand(
-            net,
-            &demand,
-            residual,
-            SelectionQuery {
-                h: config.h,
-                max_width,
-                mode: config.mode,
-            },
-            |w| cache.reuse(key, w, demand.id),
-        );
-        cache.store(net, key, &selected);
-        let candidates: Vec<CandidatePath> =
-            selected.into_iter().flat_map(|s| s.candidates).collect();
-        Some(route_from_candidates_counted(
-            net,
-            &[demand],
-            config,
-            residual,
             candidates,
-            registry,
+            &self.registry,
         ))
     }
 
@@ -405,8 +315,8 @@ impl ServiceState {
 
     /// [`admit`](ServiceState::admit), also returning the admission's
     /// full pipeline trace (`None` when the network was saturated and the
-    /// pipeline never ran) — the hook the incremental-vs-from-scratch
-    /// differential oracle compares per event.
+    /// pipeline never ran) — the hook the service oracle compares with
+    /// the batch pipeline per event.
     ///
     /// # Panics
     ///
@@ -416,12 +326,7 @@ impl ServiceState {
         source: NodeId,
         dest: NodeId,
     ) -> (AdmitOutcome, Option<RouteTrace>) {
-        let trace = if self.incremental.is_some() {
-            self.incremental_trace(source, dest)
-        } else {
-            self.admission_trace(source, dest)
-        };
-        let Some(trace) = trace else {
+        let Some(trace) = self.admission_trace(source, dest) else {
             return (AdmitOutcome::Rejected(RejectReason::Saturated), None);
         };
         let plan = trace
@@ -435,10 +340,6 @@ impl ServiceState {
         }
         let usage = plan.resource_usage();
         let rate = plan.rate(&self.net, self.config.mode);
-        // The charge below changes residuals at every node the plan
-        // touches; tell the cache before the ledger moves so the deltas
-        // see the pre-charge values.
-        self.note_usage_delta(&usage, true);
         self.ledger
             .charge(&self.net, &usage)
             .expect("pipeline respects residual capacity");
@@ -458,35 +359,10 @@ impl ServiceState {
         (AdmitOutcome::Accepted { id, rate }, Some(trace))
     }
 
-    /// Feeds one about-to-be-applied residual change into the candidate
-    /// cache: `charge` true when `usage` is being charged (residual
-    /// drops), false when released. Must run *before* the ledger mutates
-    /// so `old` reads the pre-change residuals. No-op under the
-    /// from-scratch strategy.
-    fn note_usage_delta(&mut self, usage: &ResourceUsage, charge: bool) {
-        let ServiceState {
-            net,
-            ledger,
-            incremental,
-            ..
-        } = self;
-        let Some(inc) = incremental.as_mut() else {
-            return;
-        };
-        let residual = ledger.residual();
-        for &(node, qubits) in &usage.node_qubits {
-            let old = residual[node.index()];
-            let new = if charge { old - qubits } else { old + qubits };
-            inc.cache.apply_node_delta(net, node, old, new);
-            inc.engine.note_node_delta(net, node, old, new);
-        }
-    }
-
     /// Tears a live plan down, returning its capacity to the ledger
     /// exactly. `None` (and no state change) if `id` is not live.
     pub fn depart(&mut self, id: PlanId) -> Option<LivePlan> {
         let lp = self.live.remove(&id)?;
-        self.note_usage_delta(&lp.usage, false);
         self.ledger
             .release(&self.net, &lp.usage)
             .expect("live usage was charged at admission");
@@ -498,33 +374,14 @@ impl ServiceState {
     /// evicted and its capacity returned. Returns the evicted ids in id
     /// order. The link itself recovers immediately — affected demands must
     /// be re-admitted by the caller (the replay harness does not, matching
-    /// the "cut costs you your sessions" model).
+    /// the "cut costs you your sessions" model). A repeated cut finds no
+    /// crossing plan and returns an empty list.
     ///
     /// # Panics
     ///
     /// Panics if `edge` is out of bounds.
     pub fn fail_link(&mut self, edge: EdgeId) -> Vec<PlanId> {
         let (u, v) = self.net.graph().endpoints(edge);
-        let canon = self.net.graph().find_edge(u, v).unwrap_or(edge);
-        // Double cut: if this fiber already failed and nothing mutated
-        // the state since (same epoch), the first cut already evicted
-        // every crossing plan and cached route — re-scanning the live set
-        // and posting lists would find nothing. Counted, not silent.
-        // (Cache slots stored by *rejected* admissions in between are not
-        // re-dropped; that is a freshness nuance, never a soundness one —
-        // the network model does not mutate on a cut.)
-        if self.failed_at.get(&canon) == Some(&self.epoch) {
-            self.fail_link_noops.inc();
-            return Vec::new();
-        }
-        // Freshness policy: cached candidates that cross the cut fiber
-        // are dropped even though the network model never mutates —
-        // routing bytes are unaffected (the ledger deltas below handle
-        // that), but routes planned over a fiber that just failed should
-        // not be replayed from cache indefinitely.
-        if let Some(inc) = self.incremental.as_mut() {
-            inc.cache.fail_edge(&self.net, edge);
-        }
         let key = if u <= v { (u, v) } else { (v, u) };
         let victims: Vec<PlanId> = self
             .live
@@ -535,7 +392,6 @@ impl ServiceState {
         for &id in &victims {
             self.depart(id).expect("victim was live");
         }
-        self.failed_at.insert(canon, self.epoch);
         victims
     }
 
@@ -681,9 +537,7 @@ mod tests {
         .generate(7);
         let net = QuantumNetwork::from_topology(&topo, &NetworkParams::default());
         let demands = Demand::from_topology(&topo);
-        let registry = Registry::enabled();
-        let noops = registry.counter("serve.fail_link_noops");
-        let mut state = ServiceState::with_telemetry(net, RoutingConfig::n_fusion(), registry);
+        let mut state = ServiceState::new(net, RoutingConfig::n_fusion());
 
         let d = demands[0];
         let AdmitOutcome::Accepted { id, .. } = state.admit(d.source, d.dest) else {
@@ -694,103 +548,23 @@ mod tests {
         let edge = state.network().graph().find_edge(u, v).unwrap();
 
         assert_eq!(state.fail_link(edge), vec![id]);
-        assert_eq!(noops.value(), 0, "first cut takes the full path");
-        // Same epoch, same fiber: counted no-op, no rescanning.
-        assert!(state.fail_link(edge).is_empty());
-        assert_eq!(noops.value(), 1);
-        assert!(state.fail_link(edge).is_empty());
-        assert_eq!(noops.value(), 2);
+        let after_cut = state.digest();
+        // Same fiber, no mutation in between: nothing to evict, and the
+        // state (epoch included) is left exactly as it was.
+        for _ in 0..2 {
+            assert!(state.fail_link(edge).is_empty());
+            assert_eq!(state.digest(), after_cut);
+        }
 
-        // Any state mutation bumps the epoch and re-enables the full
-        // path (an admission may have routed over the cut fiber again).
+        // A mutation may route over the cut fiber again, so the next cut
+        // must rescan the live set.
         let AdmitOutcome::Accepted { id: id2, .. } = state.admit(d.source, d.dest) else {
             panic!("re-admission must succeed (capacity was returned)");
         };
         let victims = state.fail_link(edge);
-        assert_eq!(noops.value(), 2, "post-mutation cut is not a no-op");
         // The re-admitted plan is only a victim if it crossed the fiber.
         let crossed = state.get(id2).is_none();
         assert_eq!(victims.contains(&id2), crossed);
         state.audit().unwrap();
     }
-
-    /// The repair path through the *full* admission stack: a damaged
-    /// slot must be replayed up to its intact prefix, recomputed past
-    /// it, counted (`serve.cache.repairs`, `serve.cache.repair_depth`),
-    /// and stay byte-identical to a from-scratch twin. Organic churn
-    /// traces reach damage-then-reuse only in a deep tail (the flipping
-    /// batch must avoid every ordinal-0 read of the slot), so the
-    /// minimal damage is inflicted directly — which is conservative:
-    /// repaired widths recompute against live residuals either way.
-    #[test]
-    fn repair_fires_through_the_full_admission_path() {
-        let topo = TopologyConfig {
-            num_switches: 20,
-            num_user_pairs: 3,
-            avg_degree: 5.0,
-            ..TopologyConfig::default()
-        }
-        .generate(13);
-        let build = |strategy| {
-            let net = QuantumNetwork::from_topology(
-                &topo,
-                &NetworkParams {
-                    switch_capacity: 48,
-                    ..NetworkParams::default()
-                },
-            );
-            ServiceState::with_telemetry(
-                net,
-                RoutingConfig {
-                    admit_strategy: strategy,
-                    max_width: Some(4),
-                    ..RoutingConfig::n_fusion()
-                },
-                Registry::enabled(),
-            )
-        };
-        let mut inc = build(AdmitStrategy::Incremental);
-        let mut scr = build(AdmitStrategy::FromScratch);
-        let demands = Demand::from_topology(&topo);
-
-        // Two admissions: the first charges the network, both pairs'
-        // slots survive the charges (capacity 48 keeps the flip bands
-        // away from widths <= 4) with multi-search logs and late-ordinal
-        // certificate reads — exactly the shape organic damage needs.
-        // Damage the lowest such slot, then re-admit its own pair.
-        for dm in &demands[..2] {
-            let (a, ta) = inc.admit_traced(dm.source, dm.dest);
-            let (b, tb) = scr.admit_traced(dm.source, dm.dest);
-            assert_eq!(a, b);
-            assert!(ta == tb, "warmup trace diverged");
-            assert!(matches!(a, AdmitOutcome::Accepted { .. }));
-        }
-
-        let cache = &mut inc.incremental.as_mut().expect("incremental state").cache;
-        let (key, w, k) = cache
-            .first_repairable()
-            .expect("fixture must store a repairable slot (seed 13 does)");
-        assert!(k > 0);
-        cache.damage_for_test(key, w, k);
-        let (s, d) = key;
-
-        let (a, ta) = inc.admit_traced(s, d);
-        let (b, tb) = scr.admit_traced(s, d);
-        assert_eq!(a, b, "repaired admission outcome diverged");
-        assert!(ta == tb, "repaired admission trace diverged");
-        assert!(inc.digest() == scr.digest());
-        let snap = inc.registry().snapshot();
-        assert!(
-            snap.value("serve.cache.repairs") >= 1,
-            "damaged slot was never repair-served"
-        );
-        assert_eq!(
-            snap.value("serve.cache.repair_depth/count"),
-            snap.value("serve.cache.repairs"),
-            "every repair records its depth"
-        );
-        inc.audit().unwrap();
-        scr.audit().unwrap();
-    }
 }
-

@@ -3,13 +3,15 @@
 //! Three properties lock the online engine to the batch pipeline:
 //!
 //! 1. **Residual-capacity equivalence** — at every arrival of a random
-//!    admit/depart/link-down trace, the admission run against the
-//!    residual ledger is byte-identical (Algorithm 2 candidates,
-//!    Algorithm 3 `MergeOutcome`, and the finished plan) to running the
-//!    batch pipeline on a network whose capacities were pre-reduced by
-//!    the live plans (`QuantumNetwork::with_capacities`). When the serve
-//!    side refuses to route (saturated), the reduced network must be
-//!    unroutable too.
+//!    admit/depart/link-down trace, the production admission
+//!    (`admit_traced`, with its persistent selection engine) is
+//!    byte-identical (Algorithm 2 candidates, Algorithm 3
+//!    `MergeOutcome`, and the finished plan) to running the batch
+//!    pipeline on a network whose capacities were pre-reduced by the
+//!    live plans (`QuantumNetwork::with_capacities`), taken just before
+//!    the admission. When the serve side refuses to route (saturated),
+//!    the reduced network must be unroutable too. Traces draw fresh user
+//!    pairs or recur over a small user pool.
 //! 2. **Conservation** — `depart ∘ admit` restores the ledger exactly,
 //!    the ledger audit balances against the live set after every event,
 //!    and no residual counter ever exceeds its capacity (they are
@@ -88,6 +90,7 @@ fn check_service_case(
     trace_seed: u64,
     link_down_rate: f64,
     mean_holding: f64,
+    user_pool: usize,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let mut state = build_state(switches, pairs, grid, seed, p, q, h, classic);
     let config = *state.config();
@@ -98,7 +101,7 @@ fn check_service_case(
             arrival_rate: 1.0,
             mean_holding,
             link_down_rate,
-            user_pool: 0,
+            user_pool,
             seed: trace_seed,
         },
     );
@@ -113,10 +116,13 @@ fn check_service_case(
                 source,
                 dest,
             } => {
-                // Oracle 1: serve-side admission trace vs batch pipeline
-                // on the capacity-reduced network.
-                let serve_side = state.admission_trace(source, dest);
+                // Oracle 1: the production admission vs the batch
+                // pipeline on the network reduced just before it.
                 let reduced = state.reduced_network();
+                let demand = state.next_demand(source, dest);
+                let ledger_before = state.ledger().clone();
+                let digest_before = state.digest();
+                let (outcome, serve_side) = state.admit_traced(source, dest);
                 match &serve_side {
                     None => prop_assert_eq!(
                         reduced.max_switch_capacity(),
@@ -124,7 +130,6 @@ fn check_service_case(
                         "serve refused as saturated but the reduced network still has qubits"
                     ),
                     Some(serve_trace) => {
-                        let demand = state.next_demand(source, dest);
                         let batch = route_with_capacity_traced(
                             &reduced,
                             &[demand],
@@ -155,9 +160,7 @@ fn check_service_case(
 
                 // Oracle 2a: depart ∘ admit restores the ledger exactly;
                 // rejection changes nothing at all.
-                let ledger_before = state.ledger().clone();
-                let digest_before = state.digest();
-                match state.admit(source, dest) {
+                match outcome {
                     fusion_serve::AdmitOutcome::Accepted { id, .. } => {
                         let mut undone = state.clone();
                         undone.depart(id).expect("just admitted");
@@ -249,7 +252,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The tier-1 reduced grid: small Waxman/grid worlds, both swap
-    /// modes, short traces with link-downs.
+    /// modes, short traces with link-downs, fresh or recurring pairs.
     #[test]
     fn service_oracles_hold_reduced(
         switches in 10usize..28,
@@ -264,6 +267,7 @@ proptest! {
         trace_seed in 0u64..1_000_000,
         link_down in 0usize..2,
         mean_holding in 4.0f64..40.0,
+        recurring in proptest::bool::ANY,
     ) {
         check_service_case(
             switches,
@@ -278,6 +282,7 @@ proptest! {
             trace_seed,
             link_down as f64 * 0.08,
             mean_holding,
+            if recurring { 8 } else { 0 },
         )?;
     }
 }
@@ -303,6 +308,7 @@ proptest! {
         trace_seed in 0u64..u64::MAX,
         link_down in 0usize..3,
         mean_holding in 1.0f64..120.0,
+        recurring in proptest::bool::ANY,
     ) {
         check_service_case(
             switches,
@@ -317,6 +323,7 @@ proptest! {
             trace_seed,
             link_down as f64 * 0.05,
             mean_holding,
+            if recurring { 8 } else { 0 },
         )?;
     }
 }
