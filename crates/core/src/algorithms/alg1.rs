@@ -10,20 +10,23 @@
 //! qubits, every intermediate switch needs `2w` (it pins `w` qubits on each
 //! side of the fused channel pair).
 
-use std::collections::HashSet;
-
 use fusion_graph::{search, Metric, NodeId, Path, SearchScratch};
 
 use crate::network::QuantumNetwork;
 
 /// Extra constraints used by Algorithm 2's Yen deviations.
+///
+/// A spur search bans a handful of root-prefix nodes and hops, so both
+/// are plain lists: membership is a short linear scan, and Algorithm 2
+/// builds each spur's lists by extending the inherited ones instead of
+/// cloning a set. Duplicate entries are harmless.
 #[derive(Debug, Clone, Default)]
 pub struct PathConstraints {
     /// Nodes that may not appear anywhere in the path (root-prefix nodes).
-    pub banned_nodes: HashSet<NodeId>,
+    pub banned_nodes: Vec<NodeId>,
     /// Undirected hops that may not be used, stored normalized
     /// `(min, max)`.
-    pub banned_hops: HashSet<(NodeId, NodeId)>,
+    pub banned_hops: Vec<(NodeId, NodeId)>,
 }
 
 impl PathConstraints {
@@ -39,12 +42,12 @@ impl PathConstraints {
 
     /// Bans the undirected hop `{u, v}`.
     pub fn ban_hop(&mut self, u: NodeId, v: NodeId) {
-        self.banned_hops.insert(Self::hop_key(u, v));
+        self.banned_hops.push(Self::hop_key(u, v));
     }
 
     /// Bans `node` from appearing in the path.
     pub fn ban_node(&mut self, node: NodeId) {
-        self.banned_nodes.insert(node);
+        self.banned_nodes.push(node);
     }
 
     /// `true` if the undirected hop `{u, v}` is banned.

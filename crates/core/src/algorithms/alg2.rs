@@ -25,9 +25,13 @@
 //!   graph for a path that only needs its near side;
 //! * reuses one [`SearchScratch`] arena and per-width channel-success
 //!   tables (`1 - (1 - p_e)^w` per edge, computed once per width, not
-//!   once per relaxation).
+//!   once per relaxation);
+//! * loads each spur search's banned nodes and hops once into
+//!   generation-stamped [`SearchBans`] (a hop goes in at the one edge
+//!   joining its endpoints — the network has no parallel links), so every
+//!   relaxation checks its bans with indexed loads instead of hashing.
 //!
-//! All three are result-preserving: the settle order, tie-breaking, and
+//! All four are result-preserving: the settle order, tie-breaking, and
 //! `f64` arithmetic are exactly those of the per-width sweep, so the
 //! output is byte-identical to [`paths_selection_reference`] — the
 //! retained original implementation — which the differential harness
@@ -38,7 +42,7 @@ use std::collections::HashSet;
 
 use fusion_graph::search::max_product_resume;
 use fusion_graph::{
-    DescentReach, Metric, NodeId, Path, SearchCounters, SearchScratch, WidthFeasibility,
+    DescentReach, Metric, NodeId, Path, SearchBans, SearchCounters, SearchScratch, WidthFeasibility,
 };
 use fusion_telemetry::{Counter, Registry};
 
@@ -311,6 +315,8 @@ impl SelectionCounters {
 #[derive(Debug, Clone, Default)]
 struct DescentState {
     scratch: SearchScratch,
+    /// The current search's [`PathConstraints`], as stamped sets.
+    bans: SearchBans,
     reach: DescentReach,
     counters: SelectionCounters,
 }
@@ -325,6 +331,7 @@ impl DescentState {
         scratch.counters = SearchCounters::from_registry(registry, "alg2.search");
         DescentState {
             scratch,
+            bans: SearchBans::new(),
             reach: DescentReach::new(),
             counters: SelectionCounters::from_registry(registry),
         }
@@ -409,7 +416,8 @@ fn assemble_width_major(
 /// encodes them — `endpoint_feasible` is `capacity >= w`,
 /// `relay_feasible` is "switch with `capacity >= 2w`"), but the search
 /// is goal-directed (pauses when the destination settles), reads channel
-/// successes from the per-width table, and is skipped outright when the
+/// successes from the per-width table, checks `constraints` through the
+/// state's stamped [`SearchBans`], and is skipped outright when the
 /// reachability view certifies it cannot succeed.
 fn descent_search(
     net: &QuantumNetwork,
@@ -439,16 +447,30 @@ fn descent_search(
         return None;
     }
 
+    let graph = net.graph();
+    let bans = &mut state.bans;
+    bans.clear(graph.node_count(), graph.edge_count());
+    for &node in &constraints.banned_nodes {
+        bans.ban_node(node);
+    }
+    for &(u, v) in &constraints.banned_hops {
+        // Banned hops come from found paths, so the edge exists; it is
+        // unique because `QuantumNetwork` rejects parallel links.
+        let edge = graph.find_edge(u, v).expect("banned hop is a network link");
+        bans.ban_edge(edge);
+    }
+
     let q = net.swap_success();
     let feas = &ctx.feas;
     let channel = &ctx.channel[(width - 1) as usize];
+    let bans = &state.bans;
     max_product_resume(
         &mut state.scratch,
-        net.graph(),
+        graph,
         source,
         |from, e| {
             let to = e.other(from);
-            if constraints.banned_nodes.contains(&to) || constraints.hop_banned(from, to) {
+            if bans.node_banned(to) || bans.edge_banned(e.id) {
                 return None;
             }
             // Entering `to` as an intermediate pins 2w qubits there; only
@@ -487,10 +509,11 @@ fn k_best_paths_descent(
 
     // Pending deviation: discovery metric, path, and the banned hops
     // inherited along its deviation branch — the paper's E'.
-    type Pending = (Metric, Path, HashSet<(NodeId, NodeId)>);
+    type Pending = (Metric, Path, Vec<(NodeId, NodeId)>);
     let mut accepted: Vec<(Path, Metric)> = Vec::new();
-    let mut queue: Vec<Pending> = vec![(metric, first, HashSet::new())];
+    let mut queue: Vec<Pending> = vec![(metric, first, Vec::new())];
     let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
+    let mut cons = PathConstraints::default();
 
     while accepted.len() < h {
         // Pop the best pending candidate (deterministic tie-break on the
@@ -519,17 +542,13 @@ fn k_best_paths_descent(
 
             // The paper's tuples carry E' and extend it with the deviated
             // edge e; the accepted-path bans below are recomputed per
-            // deviation (classic Yen) and not inherited.
-            let mut inherited = banned.clone();
-            inherited.insert(PathConstraints::hop_key(
-                path.nodes()[i],
-                path.nodes()[i + 1],
-            ));
-
-            let mut cons = PathConstraints {
-                banned_hops: inherited.clone(),
-                ..Default::default()
-            };
+            // deviation (classic Yen) and not inherited. One constraint
+            // list is rebuilt in place per spur: E' + e first, so that
+            // prefix is this deviation's inherited E'.
+            cons.banned_hops.clear();
+            cons.banned_hops.extend_from_slice(&banned);
+            cons.ban_hop(path.nodes()[i], path.nodes()[i + 1]);
+            let inherited = cons.banned_hops.len();
             // Classic Yen: also ban the next hop of every accepted path
             // sharing this root, so deviations cannot regenerate them.
             for (acc, _) in &accepted {
@@ -537,9 +556,8 @@ fn k_best_paths_descent(
                     cons.ban_hop(acc.nodes()[i], acc.nodes()[i + 1]);
                 }
             }
-            for &n in &root.nodes()[..i] {
-                cons.ban_node(n);
-            }
+            cons.banned_nodes.clear();
+            cons.banned_nodes.extend_from_slice(&root.nodes()[..i]);
 
             state.counters.spur_searches.inc();
             let Some((spur, _)) =
@@ -559,7 +577,7 @@ fn k_best_paths_descent(
             if m == Metric::ZERO {
                 continue;
             }
-            queue.push((m, combined, inherited));
+            queue.push((m, combined, cons.banned_hops[..inherited].to_vec()));
         }
 
         // Paper line 14: bound the frontier to h outstanding paths.
@@ -738,9 +756,9 @@ fn k_best_paths(
 
     // Pending deviation: discovery metric, path, and the banned hops
     // inherited along its deviation branch — the paper's E'.
-    type Pending = (Metric, Path, HashSet<(NodeId, NodeId)>);
+    type Pending = (Metric, Path, Vec<(NodeId, NodeId)>);
     let mut accepted: Vec<(Path, Metric)> = Vec::new();
-    let mut queue: Vec<Pending> = vec![(metric, first, HashSet::new())];
+    let mut queue: Vec<Pending> = vec![(metric, first, Vec::new())];
     let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
 
     while accepted.len() < h {
@@ -772,7 +790,7 @@ fn k_best_paths(
             // edge e; the accepted-path bans below are recomputed per
             // deviation (classic Yen) and not inherited.
             let mut inherited = banned.clone();
-            inherited.insert(PathConstraints::hop_key(
+            inherited.push(PathConstraints::hop_key(
                 path.nodes()[i],
                 path.nodes()[i + 1],
             ));
@@ -1105,6 +1123,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn descent_search_honours_bans_exactly() {
+        // s - a - b - d is the best route; s - c - d and the ladder
+        // a - x - y - b are fallbacks.
+        let mut b = QuantumNetwork::builder();
+        let s = b.user(0.0, 0.0);
+        let d = b.user(3.0, 0.0);
+        let a = b.switch(1.0, 0.0, 10);
+        let bb = b.switch(2.0, 0.0, 10);
+        let c = b.switch(1.5, -1.0, 10);
+        let x = b.switch(1.0, 1.0, 10);
+        let y = b.switch(2.0, 1.0, 10);
+        for (u, v, len) in [
+            (s, a, 1_000.0),
+            (a, bb, 1_000.0),
+            (bb, d, 1_000.0),
+            (s, c, 3_000.0),
+            (c, d, 3_000.0),
+            (a, x, 1_500.0),
+            (x, y, 1_500.0),
+            (y, bb, 1_500.0),
+        ] {
+            b.link_with_length(u, v, len).unwrap();
+        }
+        let net = b.build();
+        let caps = net.capacities();
+        let ctx = DescentContext::new(&net, &caps, 1);
+        let mut state = DescentState::with_registry(net.node_count(), &Registry::disabled());
+        let mut reference = SearchScratch::new();
+        // Runs the engine's search on the shared state and checks it
+        // against Algorithm 1, which reads the constraint lists directly.
+        let mut search = |from: NodeId, to: NodeId, cons: &PathConstraints| {
+            state.reach.begin(net.graph(), &ctx.feas, to, 1);
+            let got = descent_search(&net, from, to, 1, cons, &ctx, &mut state);
+            let want = largest_rate_path_with(&mut reference, &net, from, to, 1, &caps, cons);
+            assert_eq!(got, want, "{from} -> {to} under {cons:?}");
+            got.expect("a route survives every ban here").0
+        };
+        let uses = |path: &Path, u: NodeId, v: NodeId| {
+            path.hops_iter()
+                .any(|(p, q)| PathConstraints::hop_key(p, q) == PathConstraints::hop_key(u, v))
+        };
+        assert_eq!(
+            search(s, d, &PathConstraints::default()).nodes(),
+            &[s, a, bb, d]
+        );
+
+        // A banned hop blocks its edge in both directions of travel.
+        let mut cut = PathConstraints::default();
+        cut.ban_hop(bb, a);
+        assert!(!uses(&search(s, d, &cut), a, bb));
+        assert!(!uses(&search(d, s, &cut), a, bb));
+
+        // a and b each touch a banned hop, but the a - b edge itself is
+        // not banned and stays usable.
+        let mut flanks = PathConstraints::default();
+        flanks.ban_hop(a, x);
+        flanks.ban_hop(y, bb);
+        assert_eq!(search(s, d, &flanks).nodes(), &[s, a, bb, d]);
+
+        // Consecutive searches on one state: the node and hop bans of the
+        // first must not leak into the second.
+        let mut first = PathConstraints::default();
+        first.ban_node(a);
+        first.ban_hop(a, bb);
+        assert_eq!(search(s, d, &first).nodes(), &[s, c, d]);
+        let mut second = PathConstraints::default();
+        second.ban_hop(s, c);
+        assert_eq!(search(s, d, &second).nodes(), &[s, a, bb, d]);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //!   payloads, indexed by [`NodeId`] / [`EdgeId`].
 //! * [`Metric`] — a totally ordered, non-NaN `f64` wrapper used for
 //!   probability-product routing metrics.
-//! * [`search`] — Dijkstra (min-sum and max-product flavours), BFS,
-//!   connected components, and resumable goal-directed runs.
-//! * [`yen`] — Yen's k-shortest loopless paths.
+//! * [`search`] — max-product Dijkstra (full and resumable goal-directed
+//!   runs), generation-stamped search bans, BFS, and connected components.
 //! * [`feasibility`] — width-indexed capacity feasibility and the
 //!   incrementally-repaired reachability behind width-descent searches.
 //! * [`DisjointSets`] — union-find with path compression, used for
@@ -25,11 +24,12 @@
 //! let a = g.add_node("a");
 //! let b = g.add_node("b");
 //! let c = g.add_node("c");
-//! g.add_edge(a, b, 1.0);
-//! g.add_edge(b, c, 2.0);
+//! g.add_edge(a, b, 0.5);
+//! g.add_edge(b, c, 0.5);
 //!
-//! let dist = search::dijkstra(&g, a, |_, w| *w);
-//! assert_eq!(dist.distance(c), Some(3.0));
+//! // Edge factors are the weights; transiting `b` costs a factor 0.5.
+//! let best = search::max_product_dijkstra(&g, a, |_, e| Some(*e.weight), |_| Some(0.5));
+//! assert_eq!(best.metric(c).value(), 0.125);
 //! ```
 //!
 //! This crate is one layer of the stack mapped in `docs/ARCHITECTURE.md`
@@ -47,11 +47,10 @@ mod unionfind;
 
 pub mod feasibility;
 pub mod search;
-pub mod yen;
 
 pub use feasibility::{DescentReach, WidthFeasibility};
 pub use graph::{EdgeId, EdgeRef, NodeId, UnGraph};
 pub use metric::Metric;
 pub use path::{Path, PathError};
-pub use search::{SearchCounters, SearchScratch};
+pub use search::{SearchBans, SearchCounters, SearchScratch};
 pub use unionfind::{DisjointSets, GenerationalDisjointSets};

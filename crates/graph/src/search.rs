@@ -1,20 +1,20 @@
-//! Graph search primitives: Dijkstra (min-sum and max-product), BFS, and
-//! connected components.
+//! Graph search primitives: max-product Dijkstra, BFS, and connected
+//! components.
 //!
-//! The max-product variant is the skeleton of the paper's Algorithm 1: the
+//! Max-product Dijkstra is the skeleton of the paper's Algorithm 1: the
 //! entanglement rate of a path is a product of per-channel success
 //! probabilities and per-switch swap probabilities, all in `(0, 1]`, so the
 //! greedy frontier argument of Dijkstra applies with `max`/`*` in place of
 //! `min`/`+`.
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use fusion_telemetry::{Counter, Registry};
 
-use crate::graph::{EdgeRef, NodeId, UnGraph};
+use crate::graph::{EdgeId, EdgeRef, NodeId, UnGraph};
 use crate::metric::Metric;
 use crate::path::Path;
+use crate::stamps::StampedSet;
 
 const NO_PREV: usize = usize::MAX;
 
@@ -49,13 +49,13 @@ impl SearchCounters {
     }
 }
 
-/// Reusable scratch arenas for [`dijkstra_with`] and
-/// [`max_product_dijkstra_with`].
+/// Reusable scratch arenas for [`max_product_dijkstra_with`] and
+/// [`max_product_resume`].
 ///
 /// A fresh Dijkstra run needs a distance array, a predecessor array, and a
 /// frontier heap — three allocations that dominate the cost of short
-/// queries on large graphs (Yen's algorithm issues hundreds of them per
-/// demand). A `SearchScratch` owns those buffers and resets them
+/// queries on large graphs (Algorithm 2's Yen deviations issue hundreds of
+/// them per demand). A `SearchScratch` owns those buffers and resets them
 /// *generationally*: each run bumps a generation counter and entries are
 /// considered unset until stamped with the current generation, so reset is
 /// O(1) instead of O(nodes).
@@ -71,12 +71,13 @@ impl SearchCounters {
 /// let mut g: UnGraph<(), f64> = UnGraph::new();
 /// let a = g.add_node(());
 /// let b = g.add_node(());
-/// g.add_edge(a, b, 2.0);
+/// g.add_edge(a, b, 0.5);
 ///
 /// let mut scratch = SearchScratch::new();
 /// for _ in 0..3 {
-///     let run = search::dijkstra_with(&mut scratch, &g, a, |_, w| *w);
-///     assert_eq!(run.distance(b), Some(2.0));
+///     let factor = |_, e: fusion_graph::EdgeRef<'_, f64>| Some(*e.weight);
+///     let run = search::max_product_dijkstra_with(&mut scratch, &g, a, factor, |_| None);
+///     assert_eq!(run.metric(b).value(), 0.5);
 /// }
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -84,8 +85,7 @@ pub struct SearchScratch {
     dist: Vec<f64>,
     prev: Vec<usize>,
     stamps: crate::stamps::GenerationStamps,
-    settled: crate::stamps::StampedSet,
-    min_heap: BinaryHeap<Reverse<(Metric, NodeId)>>,
+    settled: StampedSet,
     max_heap: BinaryHeap<(Metric, NodeId)>,
     /// Telemetry handles; disabled (free) by default.
     pub counters: SearchCounters,
@@ -105,8 +105,7 @@ impl SearchScratch {
             dist: vec![0.0; nodes],
             prev: vec![NO_PREV; nodes],
             stamps: crate::stamps::GenerationStamps::with_capacity(nodes),
-            settled: crate::stamps::StampedSet::default(),
-            min_heap: BinaryHeap::new(),
+            settled: StampedSet::default(),
             max_heap: BinaryHeap::new(),
             counters: SearchCounters::default(),
         };
@@ -123,7 +122,6 @@ impl SearchScratch {
         }
         self.stamps.advance(n);
         self.settled.clear(n);
-        self.min_heap.clear();
         self.max_heap.clear();
     }
 
@@ -150,35 +148,88 @@ impl SearchScratch {
     }
 }
 
-/// Borrowed result of a scratch-backed min-sum Dijkstra run.
-#[derive(Debug)]
-pub struct MinSumRun<'a> {
-    source: NodeId,
-    scratch: &'a SearchScratch,
+/// Node and edge ban sets for constrained searches, with an O(1) reset.
+///
+/// Algorithm 2's Yen deviations ban a few root-prefix nodes and hops per
+/// spur search, and every relaxation asks whether its edge or far node is
+/// banned. Loading the bans into these generation-stamped sets once per
+/// search makes each of those checks one indexed load, and
+/// [`clear`](SearchBans::clear) forgets the previous search's bans without
+/// touching them. Like [`SearchScratch`], one value serves graphs of any
+/// size and must not be shared across threads.
+///
+/// # Examples
+///
+/// ```
+/// use fusion_graph::{EdgeId, NodeId, SearchBans};
+///
+/// let mut bans = SearchBans::new();
+/// bans.clear(4, 3);
+/// bans.ban_node(NodeId::new(2));
+/// bans.ban_edge(EdgeId::new(0));
+/// assert!(bans.node_banned(NodeId::new(2)) && bans.edge_banned(EdgeId::new(0)));
+///
+/// bans.clear(4, 3);
+/// assert!(!bans.node_banned(NodeId::new(2)) && !bans.edge_banned(EdgeId::new(0)));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct SearchBans {
+    nodes: StampedSet,
+    edges: StampedSet,
 }
 
-impl MinSumRun<'_> {
-    /// Distance from the source to `node`, or `None` if unreachable.
+impl SearchBans {
+    /// Creates an empty ban set; buffers grow on first use.
     #[must_use]
-    pub fn distance(&self, node: NodeId) -> Option<f64> {
-        self.scratch
-            .is_set(node.index())
-            .then(|| self.scratch.dist[node.index()])
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Reconstructs the shortest path from the source to `node`.
-    #[must_use]
-    pub fn path_to(&self, node: NodeId) -> Option<Path> {
-        if !self.scratch.is_set(node.index()) {
-            return None;
-        }
-        walk_back(self.source, node, &self.scratch.prev)
+    /// Lifts every ban and covers graphs of up to `nodes` nodes and
+    /// `edges` edges, in O(1) (amortized over buffer growth).
+    pub fn clear(&mut self, nodes: usize, edges: usize) {
+        self.nodes.clear(nodes);
+        self.edges.clear(edges);
     }
 
-    /// The source node of this run.
+    /// Bans `node` until the next [`clear`](SearchBans::clear).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the range covered by the last clear.
+    pub fn ban_node(&mut self, node: NodeId) {
+        self.nodes.insert(node.index());
+    }
+
+    /// Bans `edge` until the next [`clear`](SearchBans::clear).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `edge` is outside the range covered by the last clear.
+    pub fn ban_edge(&mut self, edge: EdgeId) {
+        self.edges.insert(edge.index());
+    }
+
+    /// `true` if `node` was banned since the last clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the range covered by the last clear.
+    #[inline]
     #[must_use]
-    pub fn source(&self) -> NodeId {
-        self.source
+    pub fn node_banned(&self, node: NodeId) -> bool {
+        self.nodes.contains(node.index())
+    }
+
+    /// `true` if `edge` was banned since the last clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `edge` is outside the range covered by the last clear.
+    #[inline]
+    #[must_use]
+    pub fn edge_banned(&self, edge: EdgeId) -> bool {
+        self.edges.contains(edge.index())
     }
 }
 
@@ -228,207 +279,6 @@ fn walk_back(source: NodeId, node: NodeId, prev: &[usize]) -> Option<Path> {
     }
     nodes.reverse();
     Some(Path::new(nodes))
-}
-
-/// Result of a min-sum Dijkstra run from a single source.
-#[derive(Debug, Clone)]
-pub struct ShortestPaths {
-    source: NodeId,
-    dist: Vec<Option<f64>>,
-    prev: Vec<Option<NodeId>>,
-}
-
-impl ShortestPaths {
-    /// Distance from the source to `node`, or `None` if unreachable.
-    #[must_use]
-    pub fn distance(&self, node: NodeId) -> Option<f64> {
-        self.dist[node.index()]
-    }
-
-    /// Reconstructs the shortest path from the source to `node`.
-    #[must_use]
-    pub fn path_to(&self, node: NodeId) -> Option<Path> {
-        self.dist[node.index()]?;
-        let mut nodes = vec![node];
-        let mut cur = node;
-        while cur != self.source {
-            cur = self.prev[cur.index()]?;
-            nodes.push(cur);
-        }
-        nodes.reverse();
-        Some(Path::new(nodes))
-    }
-
-    /// The source node of this run.
-    #[must_use]
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-}
-
-/// Classic min-sum Dijkstra with a per-edge cost closure.
-///
-/// Edges for which `cost` returns a negative value are treated as unusable.
-///
-/// # Panics
-///
-/// Panics if `source` is out of bounds or if a cost is NaN.
-pub fn dijkstra<N, E>(
-    graph: &UnGraph<N, E>,
-    source: NodeId,
-    cost: impl FnMut(EdgeRef<'_, E>, &E) -> f64,
-) -> ShortestPaths {
-    let mut scratch = SearchScratch::with_capacity(graph.node_count());
-    dijkstra_with(&mut scratch, graph, source, cost);
-    let n = graph.node_count();
-    let dist = (0..n)
-        .map(|i| scratch.is_set(i).then(|| scratch.dist[i]))
-        .collect();
-    let prev = (0..n)
-        .map(|i| {
-            (scratch.is_set(i) && scratch.prev[i] != NO_PREV).then(|| NodeId::new(scratch.prev[i]))
-        })
-        .collect();
-    ShortestPaths { source, dist, prev }
-}
-
-/// Scratch-backed min-sum Dijkstra: identical semantics to [`dijkstra`],
-/// but all working memory comes from the caller-provided `scratch`, so a
-/// loop of queries performs no per-query allocation.
-///
-/// # Panics
-///
-/// Panics if `source` is out of bounds or if a cost is NaN.
-pub fn dijkstra_with<'s, N, E>(
-    scratch: &'s mut SearchScratch,
-    graph: &UnGraph<N, E>,
-    source: NodeId,
-    cost: impl FnMut(EdgeRef<'_, E>, &E) -> f64,
-) -> MinSumRun<'s> {
-    dijkstra_resume(scratch, graph, source, cost).finish()
-}
-
-/// A paused, goal-directed min-sum Dijkstra run (see [`dijkstra_resume`]).
-#[derive(Debug)]
-pub struct MinSumResume<'s, 'g, N, E, F> {
-    scratch: &'s mut SearchScratch,
-    graph: &'g UnGraph<N, E>,
-    source: NodeId,
-    cost: F,
-}
-
-/// Starts a *resumable* min-sum Dijkstra run: the search settles nodes
-/// lazily, one [`MinSumResume::run_to`] target at a time, instead of
-/// exhausting the whole graph up front.
-///
-/// The settle order, tie-breaking, and relaxation arithmetic are exactly
-/// those of [`dijkstra_with`] — a paused run is the same computation
-/// stopped early, so `run_to(t)` returns byte-for-byte the path that
-/// `dijkstra_with(..).path_to(t)` would, while touching only the nodes
-/// whose distance does not exceed `t`'s. Hot goal-directed callers (Yen
-/// spur searches, Algorithm 2's width descent) use this to avoid settling
-/// the far side of a large graph they will never read.
-///
-/// # Examples
-///
-/// ```
-/// use fusion_graph::{search, UnGraph};
-///
-/// let mut g: UnGraph<(), f64> = UnGraph::new();
-/// let a = g.add_node(());
-/// let b = g.add_node(());
-/// let c = g.add_node(());
-/// g.add_edge(a, b, 1.0);
-/// g.add_edge(b, c, 3.0);
-///
-/// let mut scratch = search::SearchScratch::new();
-/// let mut run = search::dijkstra_resume(&mut scratch, &g, a, |_, w| *w);
-/// let to_b = run.run_to(b).expect("b is reachable");
-/// assert_eq!(to_b.nodes(), &[a, b]);
-/// // Resuming the same run reuses everything settled so far.
-/// let to_c = run.run_to(c).expect("c is reachable");
-/// assert_eq!(to_c.nodes(), &[a, b, c]);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `source` is out of bounds; `run_to` panics if a cost is NaN.
-pub fn dijkstra_resume<'s, 'g, N, E, F>(
-    scratch: &'s mut SearchScratch,
-    graph: &'g UnGraph<N, E>,
-    source: NodeId,
-    cost: F,
-) -> MinSumResume<'s, 'g, N, E, F>
-where
-    F: FnMut(EdgeRef<'_, E>, &E) -> f64,
-{
-    scratch.begin(graph.node_count());
-    scratch.set(source.index(), 0.0, NO_PREV);
-    scratch.min_heap.push(Reverse((Metric::ZERO, source)));
-    MinSumResume {
-        scratch,
-        graph,
-        source,
-        cost,
-    }
-}
-
-impl<'s, N, E, F> MinSumResume<'s, '_, N, E, F>
-where
-    F: FnMut(EdgeRef<'_, E>, &E) -> f64,
-{
-    /// Pops and expands frontier nodes until `target` settles (when
-    /// `Some`) or the frontier is exhausted.
-    fn run_until(&mut self, target: Option<NodeId>) {
-        while let Some(Reverse((d, u))) = self.scratch.min_heap.pop() {
-            if self.scratch.dist[u.index()] != d.value() {
-                continue; // stale entry
-            }
-            self.scratch.counters.pops.inc();
-            self.scratch.settled.insert(u.index());
-            for e in self.graph.incident_edges(u) {
-                let w = (self.cost)(e, e.weight);
-                if w < 0.0 {
-                    continue;
-                }
-                assert!(!w.is_nan(), "edge cost must not be NaN");
-                let v = e.other(u);
-                let nd = d.value() + w;
-                if !self.scratch.is_set(v.index()) || nd < self.scratch.dist[v.index()] {
-                    self.scratch.set(v.index(), nd, u.index());
-                    self.scratch.min_heap.push(Reverse((Metric::new(nd), v)));
-                }
-            }
-            if target == Some(u) {
-                return;
-            }
-        }
-    }
-
-    /// Settles nodes until `target` is final and returns its shortest
-    /// path, or `None` when it is unreachable. Already-settled targets
-    /// (from earlier `run_to` calls on this run) return without popping
-    /// anything.
-    pub fn run_to(&mut self, target: NodeId) -> Option<Path> {
-        if !self.scratch.is_settled(target.index()) {
-            self.run_until(Some(target));
-        }
-        if !self.scratch.is_settled(target.index()) {
-            self.scratch.counters.exhaustions.inc();
-            return None; // frontier exhausted: unreachable
-        }
-        walk_back(self.source, target, &self.scratch.prev)
-    }
-
-    /// Runs the remainder of the search to exhaustion, yielding the same
-    /// borrowed result a plain [`dijkstra_with`] call produces.
-    pub fn finish(mut self) -> MinSumRun<'s> {
-        self.run_until(None);
-        MinSumRun {
-            source: self.source,
-            scratch: self.scratch,
-        }
-    }
 }
 
 /// Result of a max-product Dijkstra run from a single source.
@@ -545,15 +395,41 @@ pub struct MaxProductResume<'s, 'g, N, E, FE, FT> {
     transit_factor: FT,
 }
 
-/// Starts a *resumable* max-product Dijkstra run: the metric counterpart
-/// of [`dijkstra_resume`], settling nodes in non-increasing metric order
-/// only as far as each [`MaxProductResume::run_to`] target requires.
+/// Starts a *resumable* max-product Dijkstra run: the search settles
+/// nodes lazily in non-increasing metric order, only as far as each
+/// [`MaxProductResume::run_to`] target requires, instead of exhausting
+/// the whole graph up front.
 ///
 /// A paused run is [`max_product_dijkstra_with`] stopped early — same
 /// factor evaluations in the same order, same tie-breaking, same `f64`
 /// products — so the returned `(path, metric)` for a target is identical
 /// to the full run's `path_to`, at a fraction of the settle work when the
-/// target's metric is far above the graph's floor.
+/// target's metric is far above the graph's floor. Algorithm 2's width
+/// descent uses this to avoid settling the far side of a large graph it
+/// will never read.
+///
+/// # Examples
+///
+/// ```
+/// use fusion_graph::{search, UnGraph};
+///
+/// let mut g: UnGraph<(), f64> = UnGraph::new();
+/// let a = g.add_node(());
+/// let b = g.add_node(());
+/// let c = g.add_node(());
+/// g.add_edge(a, b, 0.9);
+/// g.add_edge(b, c, 0.5);
+///
+/// let mut scratch = search::SearchScratch::new();
+/// let mut run =
+///     search::max_product_resume(&mut scratch, &g, a, |_, e| Some(*e.weight), |_| Some(1.0));
+/// let (to_b, _) = run.run_to(b).expect("b is reachable");
+/// assert_eq!(to_b.nodes(), &[a, b]);
+/// // Resuming the same run reuses everything settled so far.
+/// let (to_c, rate) = run.run_to(c).expect("c is reachable");
+/// assert_eq!(to_c.nodes(), &[a, b, c]);
+/// assert_eq!(rate.value(), 0.9 * 0.5);
+/// ```
 ///
 /// # Panics
 ///
@@ -723,8 +599,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Builds the weighted graph
-    /// `a --1-- b --1-- d`, `a --4-- c --1-- d`.
+    /// Builds the diamond `a -- b -- d`, `a -- c -- d` (edge weights 1, 1,
+    /// 4, 1; the max-product tests choose their own factors).
     fn diamond() -> (UnGraph<(), f64>, [NodeId; 4]) {
         let mut g = UnGraph::new();
         let a = g.add_node(());
@@ -739,40 +615,15 @@ mod tests {
     }
 
     #[test]
-    fn dijkstra_finds_min_sum() {
-        let (g, [a, b, _c, d]) = diamond();
-        let sp = dijkstra(&g, a, |_, w| *w);
-        assert_eq!(sp.distance(d), Some(2.0));
-        let p = sp.path_to(d).unwrap();
-        assert_eq!(p.nodes(), &[a, b, d]);
-        assert_eq!(sp.source(), a);
-    }
-
-    #[test]
-    fn dijkstra_negative_cost_bans_edge() {
-        let (g, [a, b, c, d]) = diamond();
-        // Ban the a-b edge: the only route is via c.
-        let sp = dijkstra(&g, a, |e, w| {
-            if (e.source, e.target) == (a, b) || (e.source, e.target) == (b, a) {
-                -1.0
-            } else {
-                *w
-            }
-        });
-        assert_eq!(sp.distance(d), Some(5.0));
-        assert_eq!(sp.path_to(d).unwrap().nodes(), &[a, c, d]);
-    }
-
-    #[test]
     fn dijkstra_unreachable() {
         let mut g: UnGraph<(), f64> = UnGraph::new();
         let a = g.add_node(());
         let b = g.add_node(());
-        let sp = dijkstra(&g, a, |_, w| *w);
-        assert_eq!(sp.distance(b), None);
-        assert!(sp.path_to(b).is_none());
-        assert_eq!(sp.distance(a), Some(0.0));
-        assert_eq!(sp.path_to(a).unwrap().nodes(), &[a]);
+        let best = max_product_dijkstra(&g, a, |_, e| Some(*e.weight), |_| Some(1.0));
+        assert_eq!(best.metric(b), Metric::ZERO);
+        assert!(best.path_to(b).is_none());
+        assert_eq!(best.metric(a), Metric::ONE);
+        assert_eq!(best.path_to(a).unwrap().0.nodes(), &[a]);
     }
 
     #[test]
@@ -849,16 +700,9 @@ mod tests {
     fn scratch_runs_match_fresh_runs() {
         let (g, [a, b, c, d]) = diamond();
         let mut scratch = SearchScratch::new();
-        // Interleave min-sum and max-product queries on one scratch: each
-        // run must be independent of whatever the previous one left behind.
+        // Each run on the shared scratch must be independent of whatever
+        // the previous one left behind.
         for source in [a, d, b, a, c] {
-            let run = dijkstra_with(&mut scratch, &g, source, |_, w| *w);
-            let fresh = dijkstra(&g, source, |_, w| *w);
-            for node in [a, b, c, d] {
-                assert_eq!(run.distance(node), fresh.distance(node));
-                assert_eq!(run.path_to(node), fresh.path_to(node));
-            }
-            assert_eq!(run.source(), source);
             let run = max_product_dijkstra_with(
                 &mut scratch,
                 &g,
@@ -894,10 +738,16 @@ mod tests {
             let mut scratch = SearchScratch::new();
             for s in sources {
                 let s = NodeId::new(s);
-                let run = dijkstra_with(&mut scratch, &g, s, |_, w| *w);
-                let fresh = dijkstra(&g, s, |_, w| *w);
+                let run = max_product_dijkstra_with(
+                    &mut scratch,
+                    &g,
+                    s,
+                    |_, e| Some(*e.weight / 10.0),
+                    |_| Some(0.7),
+                );
+                let fresh = max_product_dijkstra(&g, s, |_, e| Some(*e.weight / 10.0), |_| Some(0.7));
                 for node in g.node_ids() {
-                    prop_assert_eq!(run.distance(node), fresh.distance(node));
+                    prop_assert_eq!(run.metric(node), fresh.metric(node));
                     prop_assert_eq!(run.path_to(node), fresh.path_to(node));
                 }
             }
@@ -905,32 +755,20 @@ mod tests {
     }
 
     #[test]
-    fn goal_directed_min_sum_matches_full_run() {
-        let (g, [a, b, c, d]) = diamond();
-        let mut scratch = SearchScratch::new();
-        for (source, target) in [(a, d), (d, a), (b, c), (a, a)] {
-            let fresh = dijkstra(&g, source, |_, w| *w);
-            let mut run = dijkstra_resume(&mut scratch, &g, source, |_, w| *w);
-            assert_eq!(run.run_to(target), fresh.path_to(target));
-            // A second call for the same target is answered from the
-            // settled state.
-            assert_eq!(run.run_to(target), fresh.path_to(target));
-        }
-    }
-
-    #[test]
     fn goal_directed_stops_before_far_nodes() {
-        // a --1-- b --1-- c --1-- d: running to b must not settle d.
+        // a -- b -- c -- d with factor 0.9 per hop: running to b must not
+        // settle d.
         let mut g: UnGraph<(), f64> = UnGraph::new();
         let a = g.add_node(());
         let b = g.add_node(());
         let c = g.add_node(());
         let d = g.add_node(());
-        g.add_edge(a, b, 1.0);
-        g.add_edge(b, c, 1.0);
-        g.add_edge(c, d, 1.0);
+        g.add_edge(a, b, 0.9);
+        g.add_edge(b, c, 0.9);
+        g.add_edge(c, d, 0.9);
+        let factor = |_: NodeId, e: EdgeRef<'_, f64>| Some(*e.weight);
         let mut scratch = SearchScratch::new();
-        let mut run = dijkstra_resume(&mut scratch, &g, a, |_, w| *w);
+        let mut run = max_product_resume(&mut scratch, &g, a, factor, |_| Some(1.0));
         assert!(run.run_to(b).is_some());
         assert!(run.scratch.is_settled(b.index()));
         assert!(
@@ -938,7 +776,8 @@ mod tests {
             "running to b must leave d unsettled"
         );
         // Resuming to d settles the remainder and matches a fresh run.
-        assert_eq!(run.run_to(d), dijkstra(&g, a, |_, w| *w).path_to(d));
+        let fresh = max_product_dijkstra(&g, a, factor, |_| Some(1.0));
+        assert_eq!(run.run_to(d), fresh.path_to(d));
     }
 
     #[test]
@@ -947,12 +786,13 @@ mod tests {
         let a = g.add_node(());
         let b = g.add_node(());
         let c = g.add_node(());
-        g.add_edge(a, b, 1.0);
+        g.add_edge(a, b, 0.9);
         let mut scratch = SearchScratch::new();
-        let mut run = dijkstra_resume(&mut scratch, &g, a, |_, w| *w);
+        let mut run =
+            max_product_resume(&mut scratch, &g, a, |_, e| Some(*e.weight), |_| Some(1.0));
         assert!(run.run_to(c).is_none(), "c is disconnected");
         // The exhausted run still answers reachable targets.
-        assert_eq!(run.run_to(b).unwrap().nodes(), &[a, b]);
+        assert_eq!(run.run_to(b).unwrap().0.nodes(), &[a, b]);
     }
 
     #[test]
@@ -989,7 +829,7 @@ mod tests {
     proptest! {
         /// On random graphs, pausing at an arbitrary sequence of targets
         /// and resuming must return exactly what a fresh exhaustive run
-        /// returns for every target — min-sum and max-product alike.
+        /// returns for every target.
         #[test]
         fn resume_matches_exhaustive_on_random_graphs(
             edges in proptest::collection::vec((0usize..9, 0usize..9, 1u32..9), 1..28),
@@ -1007,13 +847,6 @@ mod tests {
             }
             let source = NodeId::new(source);
             let mut scratch = SearchScratch::new();
-
-            let fresh = dijkstra(&g, source, |_, w| *w);
-            let mut run = dijkstra_resume(&mut scratch, &g, source, |_, w| *w);
-            for &t in &targets {
-                prop_assert_eq!(run.run_to(NodeId::new(t)), fresh.path_to(NodeId::new(t)));
-            }
-
             let fresh = max_product_dijkstra(
                 &g,
                 source,
@@ -1037,14 +870,15 @@ mod tests {
     fn scratch_grows_across_graph_sizes() {
         let mut scratch = SearchScratch::with_capacity(2);
         let (big, [a, _, _, d]) = diamond();
-        let run = dijkstra_with(&mut scratch, &big, a, |_, w| *w);
-        assert_eq!(run.distance(d), Some(2.0));
+        let run = max_product_dijkstra_with(&mut scratch, &big, a, |_, _| Some(0.5), |_| Some(1.0));
+        assert_eq!(run.metric(d).value(), 0.25);
         // A smaller graph afterwards must not see the big graph's entries.
         let mut small: UnGraph<(), f64> = UnGraph::new();
         let x = small.add_node(());
         let y = small.add_node(());
-        let run = dijkstra_with(&mut scratch, &small, x, |_, w| *w);
-        assert_eq!(run.distance(y), None);
+        let run =
+            max_product_dijkstra_with(&mut scratch, &small, x, |_, _| Some(0.5), |_| Some(1.0));
+        assert_eq!(run.metric(y), Metric::ZERO);
     }
 
     #[test]

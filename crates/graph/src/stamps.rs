@@ -72,8 +72,10 @@ impl GenerationStamps {
 /// This is the "generational set" idiom used anywhere a hot loop needs a
 /// visited/settled/reached set that resets per run without an O(n) fill:
 /// [`SearchScratch`](crate::search::SearchScratch) tracks settled nodes
-/// with one, and [`DescentReach`](crate::feasibility::DescentReach) keeps
-/// its reached/expanded sets in them across per-demand resets.
+/// with one, [`SearchBans`](crate::search::SearchBans) holds a
+/// constrained search's banned nodes and edges in two, and
+/// [`DescentReach`](crate::feasibility::DescentReach) keeps its
+/// reached/expanded sets in them across per-demand resets.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StampedSet {
     stamps: GenerationStamps,

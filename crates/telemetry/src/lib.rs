@@ -524,7 +524,11 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.value("top/count"), 3);
         assert_eq!(snap.value("top/p2_63"), 1, "2^63 - 1");
-        assert_eq!(snap.value("top/p2_64"), 2, "2^63 and u64::MAX share the last bucket");
+        assert_eq!(
+            snap.value("top/p2_64"),
+            2,
+            "2^63 and u64::MAX share the last bucket"
+        );
     }
 
     #[test]
