@@ -4,12 +4,14 @@
 //! one Monte Carlo protocol round.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fusion_bench::workloads::{Algorithm, ExperimentConfig};
+use fusion_bench::workloads::Algorithm;
 use fusion_core::algorithms::{alg1, alg2};
 use fusion_core::{metrics, SwapMode, WidthedPath};
 use fusion_graph::Path;
 use fusion_quantum::stabilizer::{fuse_groups, Tableau};
 use fusion_quantum::EntanglementRegistry;
+use fusion_sim::experiment::ExperimentConfig;
+use fusion_telemetry::Registry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -59,13 +61,14 @@ fn bench_alg2(c: &mut Criterion) {
     let caps = net.capacities();
     c.bench_function("alg2_paths_selection", |b| {
         b.iter(|| {
-            black_box(alg2::paths_selection(
+            black_box(alg2::paths_selection_counted(
                 &net,
                 &demands,
                 &caps,
                 config.h,
                 5,
                 SwapMode::NFusion,
+                &Registry::disabled(),
             ))
         });
     });
@@ -74,7 +77,13 @@ fn bench_alg2(c: &mut Criterion) {
 fn routed_flow() -> (fusion_core::QuantumNetwork, fusion_core::DemandPlan) {
     let config = ExperimentConfig::quick();
     let (net, demands) = config.instance(0);
-    let plan = Algorithm::AlgNFusion.route(&net, &demands, config.h);
+    let plan = Algorithm::AlgNFusion.route_threads_counted(
+        &net,
+        &demands,
+        config.h,
+        1,
+        &Registry::disabled(),
+    );
     let dp = plan
         .plans
         .into_iter()
@@ -182,7 +191,7 @@ fn bench_monte_carlo_round(c: &mut Criterion) {
         });
     });
     // The reusable sampler: resolved lookups + generational union-find,
-    // i.e. what estimate_plan actually runs per round.
+    // i.e. what estimate_plan_counted actually runs per round.
     let mut sampler = fusion_sim::FlowSampler::new(&net, &dp);
     let mut rng_s = StdRng::seed_from_u64(3);
     c.bench_function("mc_flow_round_reused_sampler", |b| {

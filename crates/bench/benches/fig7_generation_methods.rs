@@ -5,7 +5,9 @@
 //! measure the compute cost of regenerating the figure's data points.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fusion_bench::workloads::{Algorithm, ExperimentConfig};
+use fusion_bench::workloads::Algorithm;
+use fusion_sim::experiment::ExperimentConfig;
+use fusion_telemetry::Registry;
 use fusion_topology::GeneratorKind;
 use std::hint::black_box;
 
@@ -29,7 +31,15 @@ fn bench_generation_methods(c: &mut Criterion) {
                 BenchmarkId::new(algo.name(), name),
                 &(&net, &demands),
                 |b, (net, demands)| {
-                    b.iter(|| black_box(algo.route(net, demands, config.h)));
+                    b.iter(|| {
+                        black_box(algo.route_threads_counted(
+                            net,
+                            demands,
+                            config.h,
+                            1,
+                            &Registry::disabled(),
+                        ))
+                    });
                 },
             );
         }

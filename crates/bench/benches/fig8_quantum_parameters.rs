@@ -2,8 +2,10 @@
 //! parameter sweeps (link success probability p, swap success q).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fusion_bench::workloads::{Algorithm, ExperimentConfig};
-use fusion_sim::evaluate::estimate_plan;
+use fusion_bench::workloads::Algorithm;
+use fusion_sim::evaluate::{estimate_plan_counted, McCounters};
+use fusion_sim::experiment::ExperimentConfig;
+use fusion_telemetry::Registry;
 use std::hint::black_box;
 
 fn bench_p_sweep(c: &mut Criterion) {
@@ -17,7 +19,15 @@ fn bench_p_sweep(c: &mut Criterion) {
             BenchmarkId::new("ALG-N-FUSION", format!("p={p}")),
             &(&net, &demands),
             |b, (net, demands)| {
-                b.iter(|| black_box(Algorithm::AlgNFusion.route(net, demands, config.h)));
+                b.iter(|| {
+                    black_box(Algorithm::AlgNFusion.route_threads_counted(
+                        net,
+                        demands,
+                        config.h,
+                        1,
+                        &Registry::disabled(),
+                    ))
+                });
             },
         );
     }
@@ -35,7 +45,15 @@ fn bench_q_sweep(c: &mut Criterion) {
             BenchmarkId::new("ALG-N-FUSION", format!("q={q}")),
             &(&net, &demands),
             |b, (net, demands)| {
-                b.iter(|| black_box(Algorithm::AlgNFusion.route(net, demands, config.h)));
+                b.iter(|| {
+                    black_box(Algorithm::AlgNFusion.route_threads_counted(
+                        net,
+                        demands,
+                        config.h,
+                        1,
+                        &Registry::disabled(),
+                    ))
+                });
             },
         );
     }
@@ -45,7 +63,13 @@ fn bench_q_sweep(c: &mut Criterion) {
 fn bench_monte_carlo_evaluation(c: &mut Criterion) {
     let config = ExperimentConfig::quick();
     let (net, demands) = config.instance(0);
-    let plan = Algorithm::AlgNFusion.route(&net, &demands, config.h);
+    let plan = Algorithm::AlgNFusion.route_threads_counted(
+        &net,
+        &demands,
+        config.h,
+        1,
+        &Registry::disabled(),
+    );
     let mut group = c.benchmark_group("fig8_evaluate");
     group.sample_size(10);
     for rounds in [200usize, 1000] {
@@ -53,7 +77,15 @@ fn bench_monte_carlo_evaluation(c: &mut Criterion) {
             BenchmarkId::new("monte-carlo", rounds),
             &rounds,
             |b, &rounds| {
-                b.iter(|| black_box(estimate_plan(&net, &plan, rounds, 1)));
+                b.iter(|| {
+                    black_box(estimate_plan_counted(
+                        &net,
+                        &plan,
+                        rounds,
+                        1,
+                        &McCounters::default(),
+                    ))
+                });
             },
         );
     }

@@ -2,7 +2,9 @@
 //! (switch count, qubits per switch, demanded states, average degree).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fusion_bench::workloads::{Algorithm, ExperimentConfig};
+use fusion_bench::workloads::Algorithm;
+use fusion_sim::experiment::ExperimentConfig;
+use fusion_telemetry::Registry;
 use std::hint::black_box;
 
 fn quick_with(f: impl FnOnce(&mut ExperimentConfig)) -> ExperimentConfig {
@@ -18,7 +20,15 @@ fn bench_switch_scaling(c: &mut Criterion) {
         let config = quick_with(|c| c.topology.num_switches = n);
         let (net, demands) = config.instance(0);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| black_box(Algorithm::AlgNFusion.route(&net, &demands, config.h)));
+            b.iter(|| {
+                black_box(Algorithm::AlgNFusion.route_threads_counted(
+                    &net,
+                    &demands,
+                    config.h,
+                    1,
+                    &Registry::disabled(),
+                ))
+            });
         });
     }
     group.finish();
@@ -31,7 +41,15 @@ fn bench_capacity_scaling(c: &mut Criterion) {
         let config = quick_with(|c| c.network.switch_capacity = cap);
         let (net, demands) = config.instance(0);
         group.bench_with_input(BenchmarkId::from_parameter(cap), &cap, |b, _| {
-            b.iter(|| black_box(Algorithm::AlgNFusion.route(&net, &demands, config.h)));
+            b.iter(|| {
+                black_box(Algorithm::AlgNFusion.route_threads_counted(
+                    &net,
+                    &demands,
+                    config.h,
+                    1,
+                    &Registry::disabled(),
+                ))
+            });
         });
     }
     group.finish();
@@ -44,7 +62,15 @@ fn bench_demand_scaling(c: &mut Criterion) {
         let config = quick_with(|c| c.topology.num_user_pairs = states);
         let (net, demands) = config.instance(0);
         group.bench_with_input(BenchmarkId::from_parameter(states), &states, |b, _| {
-            b.iter(|| black_box(Algorithm::AlgNFusion.route(&net, &demands, config.h)));
+            b.iter(|| {
+                black_box(Algorithm::AlgNFusion.route_threads_counted(
+                    &net,
+                    &demands,
+                    config.h,
+                    1,
+                    &Registry::disabled(),
+                ))
+            });
         });
     }
     group.finish();
@@ -60,7 +86,15 @@ fn bench_degree_scaling(c: &mut Criterion) {
             BenchmarkId::from_parameter(degree as u32),
             &degree,
             |b, _| {
-                b.iter(|| black_box(Algorithm::AlgNFusion.route(&net, &demands, config.h)));
+                b.iter(|| {
+                    black_box(Algorithm::AlgNFusion.route_threads_counted(
+                        &net,
+                        &demands,
+                        config.h,
+                        1,
+                        &Registry::disabled(),
+                    ))
+                });
             },
         );
     }

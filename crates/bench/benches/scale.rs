@@ -5,7 +5,10 @@
 //! binary (`figures scale --preset large-10k-grid`) rather than Criterion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fusion_bench::workloads::{Algorithm, ExperimentConfig};
+use fusion_bench::workloads::Algorithm;
+use fusion_sim::evaluate::{estimate_plan_parallel_counted, McCounters};
+use fusion_sim::experiment::ExperimentConfig;
+use fusion_telemetry::Registry;
 use std::hint::black_box;
 
 fn bench_scale_1k(c: &mut Criterion) {
@@ -19,19 +22,32 @@ fn bench_scale_1k(c: &mut Criterion) {
         group.sample_size(10);
         group.bench_function("route_parallel", |b| {
             b.iter(|| {
-                black_box(Algorithm::AlgNFusion.route_threads(&net, &demands, config.h, threads))
+                black_box(Algorithm::AlgNFusion.route_threads_counted(
+                    &net,
+                    &demands,
+                    config.h,
+                    threads,
+                    &Registry::disabled(),
+                ))
             });
         });
-        let plan = Algorithm::AlgNFusion.route_threads(&net, &demands, config.h, threads);
+        let plan = Algorithm::AlgNFusion.route_threads_counted(
+            &net,
+            &demands,
+            config.h,
+            threads,
+            &Registry::disabled(),
+        );
         group.bench_function("mc_estimate", |b| {
             b.iter(|| {
                 black_box(
-                    fusion_sim::evaluate::estimate_plan_parallel(
+                    estimate_plan_parallel_counted(
                         &net,
                         &plan,
                         config.mc_rounds,
                         config.seed,
                         threads,
+                        &McCounters::default(),
                     )
                     .total_rate(),
                 )

@@ -12,9 +12,10 @@
 //! sweep is minutes of single-core work at 10k switches).
 use std::time::Instant;
 
-use fusion_bench::workloads::ExperimentConfig;
 use fusion_core::algorithms::alg2;
 use fusion_core::SwapMode;
+use fusion_sim::experiment::ExperimentConfig;
+use fusion_telemetry::Registry;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,13 +34,14 @@ fn main() {
     let caps = net.capacities();
     let max_width = net.max_switch_capacity();
     let t1 = Instant::now();
-    let descent = alg2::paths_selection(
+    let descent = alg2::paths_selection_counted(
         &net,
         &demands,
         &caps,
         config.h,
         max_width,
         SwapMode::NFusion,
+        &Registry::disabled(),
     );
     let descent_t = t1.elapsed();
     eprintln!(

@@ -8,9 +8,10 @@
 //! ```
 use std::time::Instant;
 
-use fusion_bench::workloads::ExperimentConfig;
 use fusion_core::algorithms::{alg2, alg3_greedy};
 use fusion_core::SwapMode;
+use fusion_sim::experiment::ExperimentConfig;
+use fusion_telemetry::Registry;
 
 fn main() {
     let n: usize = std::env::args()
@@ -25,19 +26,28 @@ fn main() {
     let caps = net.capacities();
     let max_width = net.max_switch_capacity();
     let t1 = Instant::now();
-    let candidates = alg2::paths_selection(
+    let candidates = alg2::paths_selection_counted(
         &net,
         &demands,
         &caps,
         config.h,
         max_width,
         SwapMode::NFusion,
+        &Registry::disabled(),
     );
     eprintln!("alg2: {:?} ({} candidates)", t1.elapsed(), candidates.len());
 
     let t2 = Instant::now();
-    let out =
-        alg3_greedy::paths_merge_greedy(&net, &demands, &candidates, SwapMode::NFusion, true, None);
+    let out = alg3_greedy::paths_merge_greedy_counted(
+        &net,
+        &demands,
+        &candidates,
+        SwapMode::NFusion,
+        true,
+        None,
+        &net.capacities(),
+        &alg3_greedy::MergeCounters::default(),
+    );
     let queue_t = t2.elapsed();
     let accepted: usize = out.plans.iter().map(|p| p.paths.len()).sum();
     eprintln!("queue merge: {queue_t:?} ({accepted} accepted)");

@@ -31,7 +31,8 @@
 use std::path::PathBuf;
 
 use fusion_bench::figures::{fig_scale_from_rows, run, scale_rows, ALL_FIGURES};
-use fusion_bench::workloads::{instance_stats, scale_presets, ExperimentConfig};
+use fusion_bench::workloads::instance_stats;
+use fusion_sim::experiment::{scale_presets, ExperimentConfig};
 
 /// Hard ceilings for configs at or beyond this many switches; chosen so a
 /// full figure sweep stays in minutes on a laptop.

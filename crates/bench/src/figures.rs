@@ -5,11 +5,13 @@ use std::fmt::Write as _;
 
 use fusion_core::algorithms::{route, RoutingConfig};
 use fusion_core::metrics;
-use fusion_sim::evaluate::estimate_plan;
+use fusion_sim::evaluate::{estimate_plan_counted, estimate_plan_parallel_counted, McCounters};
 use fusion_sim::exact;
+use fusion_sim::experiment::ExperimentConfig;
+use fusion_telemetry::Registry;
 use fusion_topology::GeneratorKind;
 
-use crate::workloads::{mean_rate, Algorithm, ExperimentConfig};
+use crate::workloads::{mean_rate, Algorithm};
 
 /// One algorithm's values across the sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -280,8 +282,20 @@ pub fn ablation_eq1(config: &ExperimentConfig) -> FigureTable {
     let mut total = 0usize;
     for i in 0..config.networks {
         let (net, demands) = config.instance(i);
-        let plan = Algorithm::AlgNFusion.route(&net, &demands, config.h);
-        let mc = estimate_plan(&net, &plan, config.mc_rounds.max(500), config.seed);
+        let plan = Algorithm::AlgNFusion.route_threads_counted(
+            &net,
+            &demands,
+            config.h,
+            1,
+            &Registry::disabled(),
+        );
+        let mc = estimate_plan_counted(
+            &net,
+            &plan,
+            config.mc_rounds.max(500),
+            config.seed,
+            &McCounters::default(),
+        );
         for (di, dp) in plan.plans.iter().enumerate() {
             total += 1;
             let elements = dp.flow.edge_count()
@@ -370,7 +384,14 @@ pub fn ablation_merge(config: &ExperimentConfig) -> FigureTable {
             let rate = if config.mc_rounds == 0 {
                 plan.total_rate(&net)
             } else {
-                estimate_plan(&net, &plan, config.mc_rounds, config.seed).total_rate()
+                estimate_plan_counted(
+                    &net,
+                    &plan,
+                    config.mc_rounds,
+                    config.seed,
+                    &McCounters::default(),
+                )
+                .total_rate()
             };
             out.push(rate);
         }
@@ -410,7 +431,14 @@ pub fn ablation_merge_order(config: &ExperimentConfig) -> FigureTable {
             let rate = if config.mc_rounds == 0 {
                 plan.total_rate(&net)
             } else {
-                estimate_plan(&net, &plan, config.mc_rounds, config.seed).total_rate()
+                estimate_plan_counted(
+                    &net,
+                    &plan,
+                    config.mc_rounds,
+                    config.seed,
+                    &McCounters::default(),
+                )
+                .total_rate()
             };
             out.push(rate);
         }
@@ -447,7 +475,13 @@ pub fn ablation_classic(config: &ExperimentConfig) -> FigureTable {
     for i in 0..config.networks {
         let (net, demands) = config.instance(i);
         // Width-carrying single paths: the Q-CAST-N routes.
-        let plan = Algorithm::QCastN.route(&net, &demands, config.h);
+        let plan = Algorithm::QCastN.route_threads_counted(
+            &net,
+            &demands,
+            config.h,
+            1,
+            &Registry::disabled(),
+        );
         for (ei, (_, eval)) in evaluators.iter().enumerate() {
             let mut total = 0.0;
             for dp in &plan.plans {
@@ -549,7 +583,13 @@ pub fn ablation_failures(config: &ExperimentConfig) -> FigureTable {
         let mut total = 0.0;
         for i in 0..config.networks {
             let (net, demands) = config.instance(i);
-            let plan = Algorithm::AlgNFusion.route(&net, &demands, config.h);
+            let plan = Algorithm::AlgNFusion.route_threads_counted(
+                &net,
+                &demands,
+                config.h,
+                1,
+                &Registry::disabled(),
+            );
             let degraded = model.degrade(&net);
             total += plan.total_rate(&degraded);
         }
@@ -574,13 +614,7 @@ pub fn scale_row(
     algorithm: Algorithm,
     instance: usize,
 ) -> crate::report::Row {
-    scale_row_with(
-        config,
-        preset,
-        algorithm,
-        instance,
-        &fusion_telemetry::Registry::disabled(),
-    )
+    scale_row_with(config, preset, algorithm, instance, &Registry::disabled())
 }
 
 /// [`scale_row`] with routing/MC telemetry recorded into `registry` and
@@ -598,7 +632,7 @@ pub fn scale_row_with(
     preset: &str,
     algorithm: Algorithm,
     instance: usize,
-    registry: &fusion_telemetry::Registry,
+    registry: &Registry,
 ) -> crate::report::Row {
     use std::time::Instant;
     let threads = config.resolved_threads();
@@ -610,25 +644,14 @@ pub fn scale_row_with(
     let (rate, stderr) = if config.mc_rounds == 0 {
         (plan.total_rate(&net), 0.0)
     } else {
-        let mc = fusion_sim::evaluate::McCounters::from_registry(registry);
-        let est = if threads > 1 {
-            fusion_sim::evaluate::estimate_plan_parallel_counted(
-                &net,
-                &plan,
-                config.mc_rounds,
-                config.seed,
-                threads,
-                &mc,
-            )
-        } else {
-            fusion_sim::evaluate::estimate_plan_counted(
-                &net,
-                &plan,
-                config.mc_rounds,
-                config.seed,
-                &mc,
-            )
-        };
+        let est = estimate_plan_parallel_counted(
+            &net,
+            &plan,
+            config.mc_rounds,
+            config.seed,
+            threads,
+            &McCounters::from_registry(registry),
+        );
         (est.total_rate(), est.total_stderr())
     };
     let mc_ms = t1.elapsed().as_secs_f64() * 1e3;

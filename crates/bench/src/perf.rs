@@ -19,9 +19,10 @@ use fusion_core::algorithms::{alg1, alg2, alg3_greedy, MergeCounters};
 use fusion_core::{metrics, SwapMode};
 use fusion_graph::{SearchCounters, SearchScratch};
 use fusion_sim::evaluate::{estimate_plan_counted, McCounters};
+use fusion_sim::experiment::{resolve_preset, ExperimentConfig};
 use fusion_telemetry::Registry;
 
-use crate::workloads::{Algorithm, ExperimentConfig};
+use crate::workloads::Algorithm;
 
 /// Median wall time of one workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,7 +179,13 @@ pub fn run_workload_with(name: &str, reps: usize, registry: &Registry) -> BenchR
         "eq1_flow_rate" => {
             let config = ExperimentConfig::quick();
             let (net, demands) = config.instance(0);
-            let plan = Algorithm::AlgNFusion.route(&net, &demands, config.h);
+            let plan = Algorithm::AlgNFusion.route_threads_counted(
+                &net,
+                &demands,
+                config.h,
+                1,
+                &Registry::disabled(),
+            );
             time_workload(name, reps, || {
                 for dp in &plan.plans {
                     black_box(metrics::flow_rate(&net, &dp.flow));
@@ -188,7 +195,13 @@ pub fn run_workload_with(name: &str, reps: usize, registry: &Registry) -> BenchR
         "mc_round" => {
             let config = ExperimentConfig::quick();
             let (net, demands) = config.instance(0);
-            let plan = Algorithm::AlgNFusion.route(&net, &demands, config.h);
+            let plan = Algorithm::AlgNFusion.route_threads_counted(
+                &net,
+                &demands,
+                config.h,
+                1,
+                &Registry::disabled(),
+            );
             let mc = McCounters::from_registry(registry);
             time_workload(name, reps, || {
                 black_box(estimate_plan_counted(&net, &plan, 2_000, config.seed, &mc));
@@ -234,13 +247,14 @@ pub fn run_workload_with(name: &str, reps: usize, registry: &Registry) -> BenchR
             config.threads = 1;
             let (net, demands) = config.instance(0);
             let caps = net.capacities();
-            let candidates = alg2::paths_selection(
+            let candidates = alg2::paths_selection_counted(
                 &net,
                 &demands,
                 &caps,
                 config.h,
                 net.max_switch_capacity(),
                 SwapMode::NFusion,
+                &Registry::disabled(),
             );
             let merge_counters = MergeCounters::from_registry(registry);
             time_workload(name, reps, || {
@@ -321,7 +335,7 @@ pub fn run_workload_with(name: &str, reps: usize, registry: &Registry) -> BenchR
     }
 }
 
-/// Replays one `trace_config` trace on the `quick` serve preset from a
+/// Replays one `trace_config` trace on the `quick` preset from a
 /// fresh service state each repetition; network and trace generation are
 /// setup, not timed.
 fn serve_replay_workload(
@@ -330,8 +344,8 @@ fn serve_replay_workload(
     registry: &Registry,
     trace_config: &fusion_serve::TraceConfig,
 ) -> BenchResult {
-    let preset = fusion_serve::resolve_preset("quick").expect("quick serve preset");
-    let net = preset.network_instance(0);
+    let preset = resolve_preset("quick").expect("quick preset");
+    let (net, _) = preset.instance(0);
     let routing = preset.routing_config();
     let trace = fusion_serve::generate(&net, trace_config);
     time_workload(name, reps, || {

@@ -1,165 +1,13 @@
-//! Default experiment configuration (paper §V-A) and algorithm runners.
+//! Algorithm runners over the experiment configurations of
+//! [`fusion_sim::experiment`].
 
 use fusion_core::algorithms::{route_with_capacity_counted, RoutingConfig};
 use fusion_core::baselines::{route_b1, route_qcast, route_qcast_n, DEFAULT_REGION_PATHS};
-use fusion_core::{Demand, NetworkParams, NetworkPlan, PhysicsParams, QuantumNetwork};
-use fusion_sim::evaluate::{estimate_plan_counted, McCounters};
+use fusion_core::{Demand, NetworkPlan, PhysicsParams, QuantumNetwork};
+use fusion_sim::evaluate::{estimate_plan_parallel_counted, McCounters};
+use fusion_sim::experiment::ExperimentConfig;
 use fusion_telemetry::Registry;
-use fusion_topology::{GeneratorKind, TopologyConfig};
-
-/// One experiment instance: everything needed to generate networks and
-/// route demands. Field defaults mirror §V-A.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExperimentConfig {
-    /// Topology generation parameters (100 switches, degree 10, 20 states,
-    /// 10k × 10k area by default).
-    pub topology: TopologyConfig,
-    /// Switch capacity and physics (capacity 10, q = 0.9, α = 1e-4).
-    pub network: NetworkParams,
-    /// Networks generated and averaged per data point (paper: 5).
-    pub networks: usize,
-    /// Candidate paths per (demand, width) for Algorithm 2.
-    pub h: usize,
-    /// Monte Carlo rounds per (network, demand) when estimating rates
-    /// empirically; `0` reports analytic rates instead.
-    pub mc_rounds: usize,
-    /// Base RNG seed.
-    pub seed: u64,
-    /// Worker threads for routing and Monte Carlo estimation; `1` keeps
-    /// the historical fully-serial behaviour (and its RNG streams), `0`
-    /// means "all available cores". The scale presets default to `0`.
-    pub threads: usize,
-}
-
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        ExperimentConfig {
-            topology: TopologyConfig::default(),
-            network: NetworkParams::default(),
-            networks: 5,
-            h: 5,
-            mc_rounds: 1_500,
-            seed: 0x5eed,
-            threads: 1,
-        }
-    }
-}
-
-impl ExperimentConfig {
-    /// A scaled-down configuration for fast smoke runs and Criterion
-    /// benches (30 switches, 6 states, 2 networks).
-    #[must_use]
-    pub fn quick() -> Self {
-        ExperimentConfig {
-            topology: TopologyConfig {
-                num_switches: 30,
-                num_user_pairs: 6,
-                avg_degree: 6.0,
-                ..TopologyConfig::default()
-            },
-            networks: 2,
-            mc_rounds: 400,
-            ..ExperimentConfig::default()
-        }
-    }
-
-    /// A large-scale preset: `num_switches` switches (Waxman by default,
-    /// see [`ExperimentConfig::large_grid`]), 50 demanded states, one
-    /// network, h = 3, 200 Monte Carlo rounds, all cores. These settings
-    /// keep a 1k-switch end-to-end run in seconds and a 10k-switch run in
-    /// minutes; push any knob back up explicitly when you need more.
-    #[must_use]
-    pub fn large(num_switches: usize) -> Self {
-        ExperimentConfig {
-            topology: TopologyConfig {
-                num_switches,
-                num_user_pairs: 50,
-                ..TopologyConfig::default()
-            },
-            networks: 1,
-            h: 3,
-            mc_rounds: 200,
-            threads: 0,
-            ..ExperimentConfig::default()
-        }
-    }
-
-    /// [`ExperimentConfig::large`] on the deterministic grid lattice —
-    /// O(n) generation, the reference shape for 5k/10k scale runs.
-    #[must_use]
-    pub fn large_grid(num_switches: usize) -> Self {
-        let mut c = Self::large(num_switches);
-        c.topology.kind = GeneratorKind::Grid;
-        c
-    }
-
-    /// Resolves [`threads`](ExperimentConfig::threads): `0` becomes the
-    /// available core count.
-    #[must_use]
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            self.threads
-        }
-    }
-
-    /// Generates the `i`-th network instance and its demand list.
-    #[must_use]
-    pub fn instance(&self, i: usize) -> (QuantumNetwork, Vec<Demand>) {
-        let topo = self.topology.generate(self.seed.wrapping_add(i as u64));
-        let net = QuantumNetwork::from_topology(&topo, &self.network);
-        let demands = Demand::from_topology(&topo);
-        (net, demands)
-    }
-}
-
-/// The named large-topology presets exercised by the `figures` binary
-/// (`--preset NAME`) and the scale benchmarks.
-#[must_use]
-pub fn scale_presets() -> Vec<(&'static str, ExperimentConfig)> {
-    vec![
-        ("large-1k", ExperimentConfig::large(1_000)),
-        ("large-1k-grid", ExperimentConfig::large_grid(1_000)),
-        ("large-5k", ExperimentConfig::large(5_000)),
-        ("large-5k-grid", ExperimentConfig::large_grid(5_000)),
-        ("large-10k", ExperimentConfig::large(10_000)),
-        ("large-10k-grid", ExperimentConfig::large_grid(10_000)),
-    ]
-}
-
-/// The named base presets: the paper's §V-A configuration and the
-/// scaled-down smoke configuration.
-#[must_use]
-pub fn base_presets() -> Vec<(&'static str, ExperimentConfig)> {
-    vec![
-        ("default", ExperimentConfig::default()),
-        ("quick", ExperimentConfig::quick()),
-    ]
-}
-
-/// Every canonical preset name, base presets first then the large-scale
-/// ones — the vocabulary sweep specifications are authored against
-/// (`sweep list-presets`).
-#[must_use]
-pub fn preset_names() -> Vec<&'static str> {
-    base_presets()
-        .iter()
-        .map(|(n, _)| *n)
-        .chain(scale_presets().iter().map(|(n, _)| *n))
-        .collect()
-}
-
-/// Resolves a canonical preset name ([`base_presets`] or
-/// [`scale_presets`]) to its configuration.
-#[must_use]
-pub fn resolve_preset(name: &str) -> Option<ExperimentConfig> {
-    base_presets()
-        .into_iter()
-        .chain(scale_presets())
-        .find(|(n, _)| *n == name)
-        .map(|(_, c)| c)
-}
+use fusion_topology::GeneratorKind;
 
 /// The five algorithm variants of the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -215,31 +63,14 @@ impl Algorithm {
             .find(|a| a.name().eq_ignore_ascii_case(name))
     }
 
-    /// Routes `demands` on `net` with this algorithm.
-    #[must_use]
-    pub fn route(self, net: &QuantumNetwork, demands: &[Demand], h: usize) -> NetworkPlan {
-        self.route_threads(net, demands, h, 1)
-    }
-
-    /// [`Algorithm::route`] with candidate construction sharded over
-    /// `threads` workers for the pipeline-based algorithms (the plan is
-    /// bit-identical to the serial one). The B1 baseline routes demands
-    /// sequentially against a running capacity remainder, so it stays
-    /// serial regardless.
-    #[must_use]
-    pub fn route_threads(
-        self,
-        net: &QuantumNetwork,
-        demands: &[Demand],
-        h: usize,
-        threads: usize,
-    ) -> NetworkPlan {
-        self.route_threads_counted(net, demands, h, threads, &Registry::disabled())
-    }
-
-    /// [`Algorithm::route_threads`] with routing counters recorded into
-    /// `registry` for the pipeline-based algorithms. The baselines have no
-    /// instrumented variants and route uncounted regardless of `registry`.
+    /// Routes `demands` on `net` with this algorithm, recording routing
+    /// counters into `registry` for the pipeline-based algorithms (pass
+    /// [`Registry::disabled`] for none). Candidate construction is sharded
+    /// over `threads` workers for those algorithms (the plan is
+    /// bit-identical to the serial one). The baselines have no
+    /// instrumented variants and route serially and uncounted regardless:
+    /// B1 routes demands sequentially against a running capacity
+    /// remainder.
     #[must_use]
     pub fn route_threads_counted(
         self,
@@ -286,21 +117,11 @@ impl Algorithm {
 }
 
 /// Entanglement rate of `algorithm` on one network instance: Monte Carlo
-/// when `mc_rounds > 0`, analytic otherwise. Honors `config.threads`
+/// when `mc_rounds > 0`, analytic otherwise, with routing and Monte Carlo
+/// counters recorded into `registry`. Honors `config.threads`
 /// (`threads == 1` reproduces the historical serial RNG streams exactly).
-#[must_use]
-pub fn measure_rate(
-    config: &ExperimentConfig,
-    algorithm: Algorithm,
-    net: &QuantumNetwork,
-    demands: &[Demand],
-) -> f64 {
-    measure_rate_counted(config, algorithm, net, demands, &Registry::disabled())
-}
-
-/// [`measure_rate`] with routing and Monte Carlo counters recorded into
-/// `registry`. Counter totals are identical for any `threads` setting that
-/// divides `config.mc_rounds` (see `estimate_plan_parallel_counted`).
+/// Counter totals are identical for any `threads` setting that divides
+/// `config.mc_rounds` (see [`estimate_plan_parallel_counted`]).
 #[must_use]
 pub fn measure_rate_counted(
     config: &ExperimentConfig,
@@ -313,22 +134,13 @@ pub fn measure_rate_counted(
     let plan = algorithm.route_threads_counted(net, demands, config.h, threads, registry);
     if config.mc_rounds == 0 {
         plan.total_rate(net)
-    } else if threads > 1 {
-        fusion_sim::evaluate::estimate_plan_parallel_counted(
+    } else {
+        estimate_plan_parallel_counted(
             net,
             &plan,
             config.mc_rounds,
             config.seed,
             threads,
-            &McCounters::from_registry(registry),
-        )
-        .total_rate()
-    } else {
-        estimate_plan_counted(
-            net,
-            &plan,
-            config.mc_rounds,
-            config.seed,
             &McCounters::from_registry(registry),
         )
         .total_rate()
@@ -348,7 +160,7 @@ pub fn mean_rate(
     for i in 0..config.networks {
         let (mut net, demands) = config.instance(i);
         mutate(&mut net);
-        total += measure_rate(config, algorithm, &net, &demands);
+        total += measure_rate_counted(config, algorithm, &net, &demands, &Registry::disabled());
     }
     total / config.networks as f64
 }
@@ -401,6 +213,7 @@ pub fn default_physics() -> PhysicsParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusion_sim::experiment::{preset_names, resolve_preset, scale_presets};
 
     #[test]
     fn default_config_matches_paper() {
@@ -462,7 +275,7 @@ mod tests {
         let c = ExperimentConfig::quick();
         let (net, demands) = c.instance(0);
         for algo in Algorithm::ALL {
-            let plan = algo.route(&net, &demands, c.h);
+            let plan = algo.route_threads_counted(&net, &demands, c.h, 1, &Registry::disabled());
             let rate = plan.total_rate(&net);
             assert!(
                 (0.0..=demands.len() as f64 + 1e-9).contains(&rate),
@@ -504,7 +317,13 @@ mod tests {
             150 + 16,
             "grid switches plus attached users"
         );
-        let rate = measure_rate(&c, Algorithm::AlgNFusion, &net, &demands);
+        let rate = measure_rate_counted(
+            &c,
+            Algorithm::AlgNFusion,
+            &net,
+            &demands,
+            &Registry::disabled(),
+        );
         assert!(rate > 0.0, "grid network must route something");
     }
 
@@ -515,9 +334,21 @@ mod tests {
         let mut c = ExperimentConfig::quick();
         c.mc_rounds = 0;
         let (net, demands) = c.instance(0);
-        let serial = measure_rate(&c, Algorithm::AlgNFusion, &net, &demands);
+        let serial = measure_rate_counted(
+            &c,
+            Algorithm::AlgNFusion,
+            &net,
+            &demands,
+            &Registry::disabled(),
+        );
         c.threads = 0;
-        let parallel = measure_rate(&c, Algorithm::AlgNFusion, &net, &demands);
+        let parallel = measure_rate_counted(
+            &c,
+            Algorithm::AlgNFusion,
+            &net,
+            &demands,
+            &Registry::disabled(),
+        );
         assert_eq!(serial, parallel);
     }
 

@@ -124,7 +124,7 @@ pub fn largest_rate_path_with(
     }
 
     let q = net.swap_success();
-    let best = search::max_product_dijkstra_with(
+    let best = search::max_product_resume(
         scratch,
         net.graph(),
         source,
@@ -150,7 +150,8 @@ pub fn largest_rate_path_with(
             // Transit through a node costs one fusion; users never relay.
             net.is_switch(via).then_some(q)
         },
-    );
+    )
+    .finish();
     best.path_to(dest)
 }
 

@@ -9,7 +9,7 @@
 //!
 //! # Width-descent engine
 //!
-//! The default engine ([`paths_selection`]) exploits how much the widths
+//! The default engine ([`paths_selection_counted`]) exploits how much the widths
 //! share: stepping the width down only *grows* the capacity-feasible
 //! subgraph (a node relaying width `w + 1` always relays `w`), so one
 //! per-demand descent carries its state across widths instead of starting
@@ -68,46 +68,21 @@ pub struct CandidatePath {
 
 /// Runs Algorithm 2 for every demand: for each width from `max_width` down
 /// to 1, finds up to `h` highest-rate loopless paths via Yen deviations
-/// over Algorithm 1.
+/// over Algorithm 1, with search/selection counters recording into
+/// `registry` (pass [`Registry::disabled`] for none).
 ///
 /// `capacity` is the per-node qubit budget used for feasibility during
 /// selection (the paper uses the full capacity here; B1 passes its running
 /// remainder).
 ///
 /// This is the width-descent engine (see the module docs); its output is
-/// byte-identical to [`paths_selection_reference`].
+/// byte-identical to [`paths_selection_reference`]. Counters never
+/// influence the output.
 ///
 /// # Panics
 ///
 /// Panics if `h == 0`, `max_width == 0`, or `capacity` is shorter than
 /// the node count.
-#[must_use]
-pub fn paths_selection(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    capacity: &[u32],
-    h: usize,
-    max_width: u32,
-    mode: SwapMode,
-) -> Vec<CandidatePath> {
-    paths_selection_counted(
-        net,
-        demands,
-        capacity,
-        h,
-        max_width,
-        mode,
-        &Registry::disabled(),
-    )
-}
-
-/// [`paths_selection`] with search/selection counters recording into
-/// `registry`. Counters never influence the output — it stays
-/// byte-identical to the uncounted run.
-///
-/// # Panics
-///
-/// As [`paths_selection`].
 #[must_use]
 pub fn paths_selection_counted(
     net: &QuantumNetwork,
@@ -133,51 +108,21 @@ pub fn paths_selection_counted(
     assemble_width_major(per_demand, max_width)
 }
 
-/// Parallel variant of [`paths_selection`]: demands are sharded
-/// round-robin over `threads` workers, each with its own search scratch
-/// and descent state (the feasibility view and channel tables are shared
-/// read-only). Candidate construction evaluates every demand against the
-/// *full* capacity (contention is resolved later by Algorithm 3), so
-/// demands are independent and the output is bit-identical to the serial
-/// version.
-///
-/// # Panics
-///
-/// Panics if `h == 0`, `max_width == 0`, `threads == 0`, or `capacity` is
-/// shorter than the node count.
-#[must_use]
-pub fn paths_selection_parallel(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    capacity: &[u32],
-    h: usize,
-    max_width: u32,
-    mode: SwapMode,
-    threads: usize,
-) -> Vec<CandidatePath> {
-    paths_selection_parallel_counted(
-        net,
-        demands,
-        capacity,
-        h,
-        max_width,
-        mode,
-        threads,
-        &Registry::disabled(),
-    )
-}
-
-/// [`paths_selection_parallel`] with counters recording into `registry`.
-/// Counter totals are independent of the worker sharding: each demand's
+/// [`paths_selection_counted`] with demands sharded round-robin over up
+/// to `threads` workers, each with its own search scratch and descent
+/// state (the feasibility view and channel tables are shared read-only).
+/// Candidate construction evaluates every demand against the *full*
+/// capacity (contention is resolved later by Algorithm 3), so demands are
+/// independent and the output is bit-identical to the serial version.
+/// Counter totals are independent of the sharding too: each demand's
 /// counts are a pure function of that demand's search, and atomic adds
-/// commute, so any thread count yields the same snapshot.
+/// commute.
 ///
 /// # Panics
 ///
-/// As [`paths_selection_parallel`].
-#[must_use]
+/// As [`paths_selection_counted`], and if `threads == 0`.
 #[allow(clippy::too_many_arguments)]
-pub fn paths_selection_parallel_counted(
+pub(super) fn paths_selection_threaded(
     net: &QuantumNetwork,
     demands: &[Demand],
     capacity: &[u32],
@@ -619,7 +564,7 @@ pub struct SelectionQuery {
 /// reachability buffers. Each call rebuilds only the feasibility view
 /// for the capacity it is given, then runs exactly the batch engine's
 /// width descent, so the output equals the single-demand
-/// [`paths_selection`] result byte for byte.
+/// [`paths_selection_counted`] result byte for byte.
 #[derive(Debug, Clone, Default)]
 pub struct SelectionEngine {
     ctx: DescentContext,
@@ -677,7 +622,7 @@ impl SelectionEngine {
 /// The original per-width sweep, retained verbatim as the differential
 /// oracle for the width-descent engine: every width runs an independent
 /// exhaustive Yen/Dijkstra search. Same contract and output as
-/// [`paths_selection`], at the cost the width descent exists to avoid.
+/// [`paths_selection_counted`], at the cost the width descent exists to avoid.
 ///
 /// # Panics
 ///
@@ -857,6 +802,26 @@ mod tests {
     use super::*;
     use crate::demand::DemandId;
 
+    /// Batch selection, uncounted.
+    fn select(
+        net: &QuantumNetwork,
+        demands: &[Demand],
+        caps: &[u32],
+        h: usize,
+        max_width: u32,
+        mode: SwapMode,
+    ) -> Vec<CandidatePath> {
+        paths_selection_counted(
+            net,
+            demands,
+            caps,
+            h,
+            max_width,
+            mode,
+            &Registry::disabled(),
+        )
+    }
+
     /// Three disjoint routes of increasing length between one user pair.
     fn triple_route() -> (QuantumNetwork, Demand, Vec<NodeId>) {
         let mut b = QuantumNetwork::builder();
@@ -942,7 +907,7 @@ mod tests {
     fn selection_covers_all_widths_and_demands() {
         let (net, demand, _) = triple_route();
         let caps = net.capacities();
-        let candidates = paths_selection(&net, &[demand], &caps, 2, 3, SwapMode::NFusion);
+        let candidates = select(&net, &[demand], &caps, 2, 3, SwapMode::NFusion);
         // Every returned width is in 1..=3 and has at most h = 2 entries.
         for w in 1..=3u32 {
             let count = candidates.iter().filter(|c| c.width == w).count();
@@ -950,7 +915,7 @@ mod tests {
             assert!(count >= 1, "width {w} missing");
         }
         // Widths above capacity/2 yield nothing.
-        let too_wide = paths_selection(&net, &[demand], &caps, 2, 10, SwapMode::NFusion);
+        let too_wide = select(&net, &[demand], &caps, 2, 10, SwapMode::NFusion);
         assert!(too_wide.iter().all(|c| c.width <= 5));
     }
 
@@ -958,8 +923,8 @@ mod tests {
     fn candidate_metrics_match_mode() {
         let (net, demand, _) = triple_route();
         let caps = net.capacities();
-        let nf = paths_selection(&net, &[demand], &caps, 1, 1, SwapMode::NFusion);
-        let cl = paths_selection(&net, &[demand], &caps, 1, 1, SwapMode::Classic);
+        let nf = select(&net, &[demand], &caps, 1, 1, SwapMode::NFusion);
+        let cl = select(&net, &[demand], &caps, 1, 1, SwapMode::Classic);
         assert_eq!(nf[0].path, cl[0].path);
         let wp = WidthedPath::uniform(nf[0].path.clone(), 1);
         assert_eq!(nf[0].metric, SwapMode::NFusion.score(&net, &wp));
@@ -983,7 +948,7 @@ mod tests {
             let demands = Demand::from_topology(&topo);
             let caps = net.capacities();
             for mode in [SwapMode::NFusion, SwapMode::Classic] {
-                let descent = paths_selection(&net, &demands, &caps, 3, 5, mode);
+                let descent = select(&net, &demands, &caps, 3, 5, mode);
                 let reference = paths_selection_reference(&net, &demands, &caps, 3, 5, mode);
                 assert_eq!(descent, reference, "seed {seed}, mode {mode:?}");
             }
@@ -1000,7 +965,7 @@ mod tests {
         caps[n[3].index()] = 3; // route B limited to width 1
         let demands = [demand];
         for h in [1, 2, 4] {
-            let descent = paths_selection(&net, &demands, &caps, h, 4, SwapMode::NFusion);
+            let descent = select(&net, &demands, &caps, h, 4, SwapMode::NFusion);
             let reference =
                 paths_selection_reference(&net, &demands, &caps, h, 4, SwapMode::NFusion);
             assert_eq!(descent, reference, "h = {h}");
@@ -1022,10 +987,18 @@ mod tests {
         let net = QuantumNetwork::from_topology(&topo, &NetworkParams::default());
         let demands = Demand::from_topology(&topo);
         let caps = net.capacities();
-        let serial = paths_selection(&net, &demands, &caps, 3, 4, SwapMode::NFusion);
+        let serial = select(&net, &demands, &caps, 3, 4, SwapMode::NFusion);
         for threads in [2, 3, 8, 32] {
-            let parallel =
-                paths_selection_parallel(&net, &demands, &caps, 3, 4, SwapMode::NFusion, threads);
+            let parallel = paths_selection_threaded(
+                &net,
+                &demands,
+                &caps,
+                3,
+                4,
+                SwapMode::NFusion,
+                threads,
+                &Registry::disabled(),
+            );
             assert_eq!(serial.len(), parallel.len(), "threads={threads}");
             for (s, p) in serial.iter().zip(&parallel) {
                 assert_eq!(s.demand, p.demand, "threads={threads}");
@@ -1063,7 +1036,7 @@ mod tests {
                     mode: SwapMode::NFusion,
                 },
             );
-            let batch = paths_selection(
+            let batch = select(
                 &net,
                 std::slice::from_ref(demand),
                 &caps,
@@ -1111,7 +1084,7 @@ mod tests {
                 }
                 for demand in &demands {
                     let flat = engine.select_demand(&net, demand, &caps, q);
-                    let batch = paths_selection(
+                    let batch = select(
                         &net,
                         std::slice::from_ref(demand),
                         &caps,
@@ -1205,6 +1178,6 @@ mod tests {
         let net = b.build();
         let demand = Demand::new(DemandId::new(0), s, d);
         let caps = net.capacities();
-        assert!(paths_selection(&net, &[demand], &caps, 3, 2, SwapMode::NFusion).is_empty());
+        assert!(select(&net, &[demand], &caps, 3, 2, SwapMode::NFusion).is_empty());
     }
 }

@@ -24,7 +24,7 @@
 //! acceptance round — O(rounds × candidates) marginal-gain evaluations,
 //! each of which walks the demand's flow graph twice. That full re-scan is
 //! kept as [`paths_merge_greedy_reference`] (the differential-testing
-//! oracle); the production [`paths_merge_greedy`] reaches the same plan
+//! oracle); the production [`paths_merge_greedy_counted`] reaches the same plan
 //! through an incremental priority queue built on one observation about
 //! what an acceptance can actually change:
 //!
@@ -407,67 +407,19 @@ impl GainQueue {
 
 /// Runs the gain-per-qubit merge over the candidate set through the
 /// incremental gain queue (see the module docs for the design and the
-/// equivalence argument). Parameters are as in
-/// [`super::alg3::paths_merge_bounded`].
-#[must_use]
-pub fn paths_merge_greedy(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    candidates: &[CandidatePath],
-    mode: SwapMode,
-    share_edges: bool,
-    max_paths_per_demand: Option<usize>,
-) -> MergeOutcome {
-    paths_merge_greedy_with_capacity(
-        net,
-        demands,
-        candidates,
-        mode,
-        share_edges,
-        max_paths_per_demand,
-        &net.capacities(),
-    )
-}
-
-/// [`paths_merge_greedy`] against an explicit starting qubit budget
-/// instead of the network's built-in capacities — the service layer merges
-/// new arrivals against the residual capacity left by live plans. The
-/// capacity vector only seeds `remaining`; scoring arithmetic is
-/// unchanged, so the outcome is byte-identical to running
-/// [`paths_merge_greedy`] on a network whose capacities equal `capacity`.
+/// equivalence argument), against the starting qubit budget `capacity`,
+/// with queue counters recording into `counters` (default handles record
+/// nothing). Other parameters are as in [`super::alg3::paths_merge`].
+///
+/// The capacity vector only seeds `remaining`; scoring arithmetic is
+/// unchanged, so the outcome is byte-identical to a merge on a network
+/// whose capacities equal `capacity` — the service layer merges new
+/// arrivals against the residual capacity left by live plans. Counters
+/// never influence the outcome.
 ///
 /// # Panics
 ///
 /// Panics if `capacity` is shorter than the node count.
-#[must_use]
-pub fn paths_merge_greedy_with_capacity(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    candidates: &[CandidatePath],
-    mode: SwapMode,
-    share_edges: bool,
-    max_paths_per_demand: Option<usize>,
-    capacity: &[u32],
-) -> MergeOutcome {
-    paths_merge_greedy_counted(
-        net,
-        demands,
-        candidates,
-        mode,
-        share_edges,
-        max_paths_per_demand,
-        capacity,
-        &MergeCounters::default(),
-    )
-}
-
-/// [`paths_merge_greedy_with_capacity`] with queue counters recording
-/// into `counters`. Counters never influence the outcome — it stays
-/// byte-identical to the uncounted run.
-///
-/// # Panics
-///
-/// As [`paths_merge_greedy_with_capacity`].
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn paths_merge_greedy_counted(
@@ -585,7 +537,7 @@ pub fn paths_merge_greedy_counted(
 /// The original full re-scan merge: re-ranks every still-viable candidate
 /// on every acceptance round. O(rounds × candidates) marginal-gain
 /// evaluations — kept verbatim (modulo the shared [`MergeKey`] tie-break)
-/// as the differential-testing oracle for [`paths_merge_greedy`] and as
+/// as the differential-testing oracle for [`paths_merge_greedy_counted`] and as
 /// the baseline of the `alg3_merge` perfbench workload.
 #[must_use]
 pub fn paths_merge_greedy_reference(
@@ -671,9 +623,30 @@ pub fn paths_merge_greedy_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::alg2::paths_selection;
+    use crate::algorithms::alg2::paths_selection_counted;
     use crate::demand::DemandId;
     use fusion_graph::{Metric, Path};
+
+    /// Queue merge on the network's own capacities, uncounted.
+    fn greedy(
+        net: &QuantumNetwork,
+        demands: &[Demand],
+        candidates: &[CandidatePath],
+        mode: SwapMode,
+        share_edges: bool,
+        max_paths_per_demand: Option<usize>,
+    ) -> MergeOutcome {
+        paths_merge_greedy_counted(
+            net,
+            demands,
+            candidates,
+            mode,
+            share_edges,
+            max_paths_per_demand,
+            &net.capacities(),
+            &MergeCounters::default(),
+        )
+    }
 
     fn cand(demand: usize, nodes: Vec<NodeId>, width: u32, metric: f64) -> CandidatePath {
         CandidatePath {
@@ -711,7 +684,7 @@ mod tests {
             cand(0, route.clone(), 2, 0.78),
             cand(0, route, 1, 0.52),
         ];
-        let out = paths_merge_greedy(&net, &demands, &candidates, SwapMode::NFusion, true, None);
+        let out = greedy(&net, &demands, &candidates, SwapMode::NFusion, true, None);
         // The first accepted path must be a narrow one (gain per qubit),
         // leaving capacity for Algorithm 4 / other demands.
         let first_width = out.plans[0].paths[0].widths[0];
@@ -727,7 +700,7 @@ mod tests {
         // Width-1: (0.1)^3 q^2 ~ 8e-4; width-5: (0.41)^3 q^2 ~ 0.056.
         // Gain per qubit: wide wins by ~14x even at 5x the cost.
         let candidates = vec![cand(0, route.clone(), 5, 0.056), cand(0, route, 1, 8.1e-4)];
-        let out = paths_merge_greedy(&net, &demands, &candidates, SwapMode::NFusion, true, None);
+        let out = greedy(&net, &demands, &candidates, SwapMode::NFusion, true, None);
         assert_eq!(out.plans[0].paths[0].widths[0], 5);
     }
 
@@ -739,8 +712,16 @@ mod tests {
             Demand::new(DemandId::new(1), n[3], n[0]),
         ];
         let caps = net.capacities();
-        let candidates = paths_selection(&net, &demands, &caps, 3, 5, SwapMode::NFusion);
-        let out = paths_merge_greedy(&net, &demands, &candidates, SwapMode::NFusion, true, None);
+        let candidates = paths_selection_counted(
+            &net,
+            &demands,
+            &caps,
+            3,
+            5,
+            SwapMode::NFusion,
+            &Registry::disabled(),
+        );
+        let out = greedy(&net, &demands, &candidates, SwapMode::NFusion, true, None);
         for node in [n[1], n[2]] {
             let spent: u32 = out.plans.iter().map(|p| p.flow.qubits_at(node)).sum();
             assert!(spent <= net.capacity(node));
@@ -754,7 +735,7 @@ mod tests {
         let demands = [Demand::new(DemandId::new(0), n[0], n[3])];
         let route = vec![n[0], n[1], n[2], n[3]];
         let candidates = vec![cand(0, route.clone(), 1, 0.5), cand(0, route, 2, 0.7)];
-        let out = paths_merge_greedy(
+        let out = greedy(
             &net,
             &demands,
             &candidates,
@@ -777,7 +758,7 @@ mod tests {
             cand(0, route.clone(), 2, 1.0),
             cand(0, route, 5, 1.0),
         ];
-        let out = paths_merge_greedy(&net, &demands, &candidates, SwapMode::NFusion, true, None);
+        let out = greedy(&net, &demands, &candidates, SwapMode::NFusion, true, None);
         // Rate 1.0 after the first width-1 path; everything else is
         // saturation and must be declined.
         assert_eq!(out.plans[0].paths.len(), 1);
@@ -825,8 +806,18 @@ mod tests {
             (vec![via_a.clone(), via_b.clone()], va),
             (vec![via_b, via_a], vb),
         ] {
-            for merge in [paths_merge_greedy, paths_merge_greedy_reference] {
-                let out = merge(&net, &demands, &cands, SwapMode::NFusion, true, Some(1));
+            let outs = [
+                greedy(&net, &demands, &cands, SwapMode::NFusion, true, Some(1)),
+                paths_merge_greedy_reference(
+                    &net,
+                    &demands,
+                    &cands,
+                    SwapMode::NFusion,
+                    true,
+                    Some(1),
+                ),
+            ];
+            for out in outs {
                 assert_eq!(out.plans[0].paths.len(), 1);
                 assert_eq!(
                     out.plans[0].paths[0].path.nodes()[1],
@@ -895,7 +886,7 @@ mod tests {
         let stem = cand(0, vec![s, v1, v2, d], 1, 0.5);
         let branch = cand(0, vec![s, v1, v3, d], 3, 0.4);
         let candidates = vec![stem, branch];
-        let queue = paths_merge_greedy(&net, &demands, &candidates, SwapMode::NFusion, true, None);
+        let queue = greedy(&net, &demands, &candidates, SwapMode::NFusion, true, None);
         let reference = paths_merge_greedy_reference(
             &net,
             &demands,
@@ -923,13 +914,21 @@ mod tests {
             Demand::new(DemandId::new(1), n[3], n[0]),
         ];
         let caps = net.capacities();
-        let candidates = paths_selection(&net, &demands, &caps, 3, 5, SwapMode::NFusion);
+        let candidates = paths_selection_counted(
+            &net,
+            &demands,
+            &caps,
+            3,
+            5,
+            SwapMode::NFusion,
+            &Registry::disabled(),
+        );
         for (mode, share, limit) in [
             (SwapMode::NFusion, true, None),
             (SwapMode::NFusion, false, None),
             (SwapMode::Classic, false, Some(1)),
         ] {
-            let queue = paths_merge_greedy(&net, &demands, &candidates, mode, share, limit);
+            let queue = greedy(&net, &demands, &candidates, mode, share, limit);
             let reference =
                 paths_merge_greedy_reference(&net, &demands, &candidates, mode, share, limit);
             assert_eq!(queue, reference, "mode {mode:?} share {share}");

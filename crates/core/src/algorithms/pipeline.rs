@@ -18,7 +18,8 @@ use crate::plan::{NetworkPlan, SwapMode};
 pub enum MergeOrder {
     /// Greedy by marginal entanglement-rate gain per qubit spent (default;
     /// implements Main Idea 2's resource-efficiency principle). Runs on
-    /// the incremental gain queue of [`alg3_greedy::paths_merge_greedy`],
+    /// the incremental gain queue of
+    /// [`alg3_greedy::paths_merge_greedy_counted`],
     /// differentially tested byte-identical to the full re-scan
     /// ([`alg3_greedy::paths_merge_greedy_reference`]).
     GainPerQubit,
@@ -32,7 +33,7 @@ pub enum MergeOrder {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PathSelection {
     /// One per-demand width descent reusing search state across widths
-    /// (default; [`alg2::paths_selection`]). Differentially tested
+    /// (default; [`alg2::paths_selection_counted`]). Differentially tested
     /// byte-identical to the per-width sweep
     /// (`crates/core/tests/alg2_differential.rs`).
     WidthDescent,
@@ -112,7 +113,8 @@ impl RoutingConfig {
     }
 }
 
-/// Runs the full routing pipeline and returns the network plan.
+/// Runs the full routing pipeline on the network's own capacities,
+/// serially and without telemetry, and returns the network plan.
 ///
 /// # Panics
 ///
@@ -120,41 +122,53 @@ impl RoutingConfig {
 /// whose switches have no qubits cannot route anything).
 #[must_use]
 pub fn route(net: &QuantumNetwork, demands: &[Demand], config: &RoutingConfig) -> NetworkPlan {
-    route_parallel(net, demands, config, 1)
+    route_with_capacity_counted(
+        net,
+        demands,
+        config,
+        &net.capacities(),
+        1,
+        &Registry::disabled(),
+    )
+    .plan
 }
 
-/// [`route`] with per-demand candidate construction sharded over
-/// `threads` workers (the dominant cost at 1k+ switches). The merge and
-/// leftover-assignment steps stay serial — they resolve cross-demand
-/// contention — so the resulting plan is bit-identical to the serial
-/// pipeline for any thread count.
-///
-/// # Panics
-///
-/// Panics if `config.h == 0`, `threads == 0`, or the resolved width bound
-/// is zero (a network whose switches have no qubits cannot route
-/// anything).
-#[must_use]
-pub fn route_parallel(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    config: &RoutingConfig,
-    threads: usize,
-) -> NetworkPlan {
-    route_with_capacity(net, demands, config, &net.capacities(), threads)
+/// The intermediate artifacts of one [`route_with_capacity_counted`] run,
+/// kept for the service-layer equivalence oracles: byte-comparing
+/// `candidates` and `merge` (both `PartialEq`) against a batch run on a
+/// capacity-reduced network is how `crates/serve` proves residual-ledger
+/// admission exact.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RouteTrace {
+    /// Algorithm 2's candidate set against the given capacity.
+    pub candidates: Vec<alg2::CandidatePath>,
+    /// Algorithm 3's outcome, snapshotted before Algorithm 4 widens it.
+    pub merge: alg3::MergeOutcome,
+    /// The finished plan (after Algorithm 4, when enabled).
+    pub plan: NetworkPlan,
 }
 
-/// [`route_parallel`] against an explicit per-node qubit budget instead of
-/// the network's built-in capacities — the service layer's admission path:
-/// a new demand is routed with the same pipeline, restricted to the
-/// residual capacity left by live plans.
+/// The routing pipeline against an explicit per-node qubit budget, with
+/// Step I sharded over `threads` workers and telemetry counters recording
+/// into `registry` (the `alg2.*`/`alg3.*` names; pass
+/// [`Registry::disabled`] for none). Returns the finished plan together
+/// with the per-stage intermediates.
 ///
-/// The width bound resolves against `capacity` (the largest *residual*
-/// switch budget), and every stage threads `capacity` through, so the
-/// outcome — candidates, merge, leftover — is byte-identical to running
-/// [`route_parallel`] on [`QuantumNetwork::with_capacities`]`(capacity)`.
-/// That equivalence is the service-oracle contract locked down by
-/// `crates/serve/tests/service_oracle.rs`.
+/// * **Capacity.** The width bound resolves against `capacity` (the
+///   largest *residual* switch budget), and every stage threads `capacity`
+///   through, so the outcome — candidates, merge, leftover — is
+///   byte-identical to running the pipeline on
+///   [`QuantumNetwork::with_capacities`]`(capacity)`. That equivalence is
+///   the service-oracle contract locked down by
+///   `crates/serve/tests/service_oracle.rs`; [`route`] passes
+///   [`QuantumNetwork::capacities`].
+/// * **Threads.** Per-demand candidate construction (the dominant cost at
+///   1k+ switches) runs on up to `threads` workers. The merge and
+///   leftover-assignment steps stay serial — they resolve cross-demand
+///   contention — so the trace is bit-identical to the serial pipeline
+///   for any thread count.
+/// * **Counters** never influence routing, and their totals are
+///   independent of the worker sharding.
 ///
 /// # Examples
 ///
@@ -162,8 +176,9 @@ pub fn route_parallel(
 /// half its qubits, as if live sessions held the rest:
 ///
 /// ```
-/// use fusion_core::algorithms::{route_with_capacity, RoutingConfig};
+/// use fusion_core::algorithms::{route_with_capacity_counted, RoutingConfig};
 /// use fusion_core::{Demand, NetworkParams, QuantumNetwork};
+/// use fusion_telemetry::Registry;
 /// use fusion_topology::TopologyConfig;
 ///
 /// let topo = TopologyConfig {
@@ -183,14 +198,15 @@ pub fn route_parallel(
 ///         if net.is_switch(v) { c / 2 } else { c }
 ///     })
 ///     .collect();
-/// let plan = route_with_capacity(
+/// let trace = route_with_capacity_counted(
 ///     &net,
 ///     &demands,
 ///     &RoutingConfig::n_fusion(),
 ///     &residual,
 ///     1,
+///     &Registry::disabled(),
 /// );
-/// assert!(plan.total_rate(&net) >= 0.0);
+/// assert!(trace.plan.total_rate(&net) >= 0.0);
 /// ```
 ///
 /// # Panics
@@ -199,62 +215,6 @@ pub fn route_parallel(
 /// the node count, or the resolved width bound is zero (no switch has a
 /// free qubit — callers admitting against a saturated network must check
 /// first).
-#[must_use]
-pub fn route_with_capacity(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    config: &RoutingConfig,
-    capacity: &[u32],
-    threads: usize,
-) -> NetworkPlan {
-    route_with_capacity_traced(net, demands, config, capacity, threads).plan
-}
-
-/// The intermediate artifacts of one [`route_with_capacity`] run, kept for
-/// the service-layer equivalence oracles: byte-comparing `candidates` and
-/// `merge` (both `PartialEq`) against a batch run on a capacity-reduced
-/// network is how `crates/serve` proves residual-ledger admission exact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouteTrace {
-    /// Algorithm 2's candidate set against the given capacity.
-    pub candidates: Vec<alg2::CandidatePath>,
-    /// Algorithm 3's outcome, snapshotted before Algorithm 4 widens it.
-    pub merge: alg3::MergeOutcome,
-    /// The finished plan (after Algorithm 4, when enabled).
-    pub plan: NetworkPlan,
-}
-
-/// [`route_with_capacity`], also returning the per-stage intermediates.
-///
-/// # Panics
-///
-/// As [`route_with_capacity`].
-#[must_use]
-pub fn route_with_capacity_traced(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    config: &RoutingConfig,
-    capacity: &[u32],
-    threads: usize,
-) -> RouteTrace {
-    route_with_capacity_counted(
-        net,
-        demands,
-        config,
-        capacity,
-        threads,
-        &Registry::disabled(),
-    )
-}
-
-/// [`route_with_capacity_traced`] with telemetry counters recording into
-/// `registry` (the `alg2.*`/`alg3.*` names). Counters never influence
-/// routing: the trace is byte-identical to the uncounted run, for any
-/// thread count.
-///
-/// # Panics
-///
-/// As [`route_with_capacity`].
 #[must_use]
 pub fn route_with_capacity_counted(
     net: &QuantumNetwork,
@@ -271,7 +231,7 @@ pub fn route_with_capacity_counted(
 
     // Step I: candidate construction against the given capacity.
     let candidates = match config.path_selection {
-        PathSelection::WidthDescent => alg2::paths_selection_parallel_counted(
+        PathSelection::WidthDescent => alg2::paths_selection_threaded(
             net,
             demands,
             capacity,
@@ -301,7 +261,7 @@ pub fn route_with_capacity_counted(
 /// This is the re-entry point for callers that build Step I themselves —
 /// the serve layer's persistent [`alg2::SelectionEngine`]: candidates
 /// equal to what Step I would produce against `capacity` yield a
-/// [`RouteTrace`] byte-identical to [`route_with_capacity_traced`],
+/// [`RouteTrace`] byte-identical to [`route_with_capacity_counted`],
 /// because the merge and Algorithm 4 are deterministic functions of
 /// (network, demands, candidates, config, capacity).
 ///
@@ -329,7 +289,7 @@ pub fn route_from_candidates_counted(
             capacity,
             &alg3_greedy::MergeCounters::from_registry(registry),
         ),
-        MergeOrder::WidthMajor => alg3::paths_merge_bounded_with_capacity(
+        MergeOrder::WidthMajor => alg3::paths_merge(
             net,
             demands,
             &candidates,
@@ -475,17 +435,23 @@ mod tests {
 
     #[test]
     fn parallel_route_is_bit_identical_to_serial() {
+        // Sharding Step I over workers must change neither the trace
+        // (candidates, merge and plan) nor the counter totals.
         let (net, demands) = small_world();
+        let caps = net.capacities();
         for config in [RoutingConfig::n_fusion(), RoutingConfig::classic()] {
-            let serial = route(&net, &demands, &config);
+            let run = |threads| {
+                let registry = Registry::enabled();
+                let trace =
+                    route_with_capacity_counted(&net, &demands, &config, &caps, threads, &registry);
+                (trace, registry.snapshot().to_json())
+            };
+            let (serial, serial_counts) = run(1);
+            assert_eq!(serial.plan, route(&net, &demands, &config));
             for threads in [2, 4, 16] {
-                let parallel = route_parallel(&net, &demands, &config, threads);
-                assert_eq!(serial.alg4_links, parallel.alg4_links);
-                assert_eq!(serial.leftover, parallel.leftover);
-                for (s, p) in serial.plans.iter().zip(&parallel.plans) {
-                    assert_eq!(s.flow, p.flow, "threads={threads}");
-                    assert_eq!(s.paths, p.paths, "threads={threads}");
-                }
+                let (parallel, counts) = run(threads);
+                assert_eq!(serial, parallel, "threads={threads}");
+                assert_eq!(serial_counts, counts, "threads={threads}");
             }
         }
     }

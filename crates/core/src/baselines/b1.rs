@@ -13,7 +13,9 @@
 //! and no Algorithm 4 widening happens afterwards. See DESIGN.md §3 for the
 //! substitution rationale (the original is defined on lattices only).
 
-use crate::algorithms::alg2::paths_selection;
+use fusion_telemetry::Registry;
+
+use crate::algorithms::alg2::paths_selection_counted;
 use crate::demand::Demand;
 use crate::network::QuantumNetwork;
 use crate::plan::{NetworkPlan, SwapMode};
@@ -35,13 +37,14 @@ pub fn route_b1(net: &QuantumNetwork, demands: &[Demand], region_paths: usize) -
     let mut plans = Vec::with_capacity(demands.len());
     for &demand in demands {
         // Region discovery at width 1 under the residual capacity.
-        let candidates = paths_selection(
+        let candidates = paths_selection_counted(
             net,
             std::slice::from_ref(&demand),
             &remaining,
             region_paths.max(1),
             1,
             SwapMode::NFusion,
+            &Registry::disabled(),
         );
         // Merge the region paths for this single pair; sharing is the
         // essence of the protocol (every region edge is used once).

@@ -1,6 +1,6 @@
 //! Differential-testing harness for the Algorithm 2 width-descent engine.
 //!
-//! The width-descent candidate construction (`paths_selection`) must
+//! The width-descent candidate construction (`paths_selection_counted`) must
 //! produce a byte-identical candidate list — same paths, same order, same
 //! widths, same `f64` metrics — to the retained per-width sweep oracle
 //! (`paths_selection_reference`) on every input. Its reuse claims rest on
@@ -23,9 +23,10 @@
 //! cargo test --release -p fusion-core --test alg2_differential -- --ignored
 //! ```
 
-use fusion_core::algorithms::alg2::{paths_selection, paths_selection_reference};
+use fusion_core::algorithms::alg2::{paths_selection_counted, paths_selection_reference};
 use fusion_core::algorithms::{route, MergeOrder, PathSelection, RoutingConfig};
 use fusion_core::{Demand, NetworkParams, QuantumNetwork, SwapMode};
+use fusion_telemetry::Registry;
 use fusion_topology::{GeneratorKind, TopologyConfig};
 
 use proptest::prelude::*;
@@ -74,7 +75,15 @@ fn check_selection_case(
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let (net, demands) = instance(switches, pairs, grid, seed, p, q);
     let caps = net.capacities();
-    let descent = paths_selection(&net, &demands, &caps, h, max_width, mode);
+    let descent = paths_selection_counted(
+        &net,
+        &demands,
+        &caps,
+        h,
+        max_width,
+        mode,
+        &Registry::disabled(),
+    );
     let reference = paths_selection_reference(&net, &demands, &caps, h, max_width, mode);
     prop_assert_eq!(
         descent.len(),

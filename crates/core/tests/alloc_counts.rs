@@ -2,7 +2,7 @@
 //!
 //! The width-descent engine builds each `WidthedPath` by move (no
 //! per-candidate `path.clone()`) and reuses its scratch arenas, so one
-//! `paths_selection` call must allocate strictly less than the retained
+//! `paths_selection_counted` call must allocate strictly less than the retained
 //! per-width sweep on the same input. A counting global allocator pins
 //! that: reintroducing the per-candidate clone (or losing arena reuse)
 //! pushes the descent's count back toward the reference's and fails the
@@ -11,8 +11,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use fusion_core::algorithms::alg2::{paths_selection, paths_selection_reference};
+use fusion_core::algorithms::alg2::{paths_selection_counted, paths_selection_reference};
 use fusion_core::{Demand, NetworkParams, QuantumNetwork, SwapMode};
+use fusion_telemetry::Registry;
 use fusion_topology::TopologyConfig;
 
 /// System allocator wrapper that counts allocation calls.
@@ -62,8 +63,17 @@ fn descent_allocates_less_than_reference_sweep() {
     let (reference, ref_allocs) = allocations_during(|| {
         paths_selection_reference(&net, &demands, &caps, 3, 5, SwapMode::NFusion)
     });
-    let (descent, descent_allocs) =
-        allocations_during(|| paths_selection(&net, &demands, &caps, 3, 5, SwapMode::NFusion));
+    let (descent, descent_allocs) = allocations_during(|| {
+        paths_selection_counted(
+            &net,
+            &demands,
+            &caps,
+            3,
+            5,
+            SwapMode::NFusion,
+            &Registry::disabled(),
+        )
+    });
 
     assert_eq!(
         descent, reference,

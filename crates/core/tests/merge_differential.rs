@@ -1,6 +1,6 @@
 //! Differential-testing harness for the Algorithm 3 gain-queue merge.
 //!
-//! The incremental gain queue (`paths_merge_greedy`) must produce a
+//! The incremental gain queue (`paths_merge_greedy_counted`) must produce a
 //! byte-identical `MergeOutcome` — accepted paths in the same order with
 //! the same widths, identical flow graphs, identical remaining-qubit
 //! vectors — to the full re-scan oracle (`paths_merge_greedy_reference`)
@@ -18,9 +18,12 @@
 //! cargo test --release -p fusion-core --test merge_differential -- --ignored
 //! ```
 
-use fusion_core::algorithms::alg2::paths_selection;
-use fusion_core::algorithms::alg3_greedy::{paths_merge_greedy, paths_merge_greedy_reference};
+use fusion_core::algorithms::alg2::paths_selection_counted;
+use fusion_core::algorithms::alg3_greedy::{
+    paths_merge_greedy_counted, paths_merge_greedy_reference, MergeCounters,
+};
 use fusion_core::{Demand, NetworkParams, QuantumNetwork, SwapMode};
+use fusion_telemetry::Registry;
 use fusion_topology::{GeneratorKind, TopologyConfig};
 
 use proptest::prelude::*;
@@ -60,15 +63,25 @@ fn check_case(
     net.set_swap_success(q);
     let demands = Demand::from_topology(&topo);
     let caps = net.capacities();
-    let candidates = paths_selection(&net, &demands, &caps, h, max_width, mode);
+    let candidates = paths_selection_counted(
+        &net,
+        &demands,
+        &caps,
+        h,
+        max_width,
+        mode,
+        &Registry::disabled(),
+    );
 
-    let queue = paths_merge_greedy(
+    let queue = paths_merge_greedy_counted(
         &net,
         &demands,
         &candidates,
         mode,
         share_edges,
         max_paths_per_demand,
+        &caps,
+        &MergeCounters::default(),
     );
     let reference = paths_merge_greedy_reference(
         &net,

@@ -7,8 +7,9 @@
 //!   payloads, indexed by [`NodeId`] / [`EdgeId`].
 //! * [`Metric`] — a totally ordered, non-NaN `f64` wrapper used for
 //!   probability-product routing metrics.
-//! * [`search`] — max-product Dijkstra (full and resumable goal-directed
-//!   runs), generation-stamped search bans, BFS, and connected components.
+//! * [`search`] — max-product Dijkstra (one resumable, goal-directed
+//!   entry point that can also run to exhaustion), generation-stamped
+//!   search bans, BFS, and connected components.
 //! * [`feasibility`] — width-indexed capacity feasibility and the
 //!   incrementally-repaired reachability behind width-descent searches.
 //! * [`DisjointSets`] — union-find with path compression, used for
@@ -28,7 +29,9 @@
 //! g.add_edge(b, c, 0.5);
 //!
 //! // Edge factors are the weights; transiting `b` costs a factor 0.5.
-//! let best = search::max_product_dijkstra(&g, a, |_, e| Some(*e.weight), |_| Some(0.5));
+//! let mut scratch = search::SearchScratch::new();
+//! let best = search::max_product_resume(&mut scratch, &g, a, |_, e| Some(*e.weight), |_| Some(0.5))
+//!     .finish();
 //! assert_eq!(best.metric(c).value(), 0.125);
 //! ```
 //!

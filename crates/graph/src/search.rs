@@ -49,8 +49,7 @@ impl SearchCounters {
     }
 }
 
-/// Reusable scratch arenas for [`max_product_dijkstra_with`] and
-/// [`max_product_resume`].
+/// Reusable scratch arenas for [`max_product_resume`].
 ///
 /// A fresh Dijkstra run needs a distance array, a predecessor array, and a
 /// frontier heap — three allocations that dominate the cost of short
@@ -76,7 +75,7 @@ impl SearchCounters {
 /// let mut scratch = SearchScratch::new();
 /// for _ in 0..3 {
 ///     let factor = |_, e: fusion_graph::EdgeRef<'_, f64>| Some(*e.weight);
-///     let run = search::max_product_dijkstra_with(&mut scratch, &g, a, factor, |_| None);
+///     let run = search::max_product_resume(&mut scratch, &g, a, factor, |_| None).finish();
 ///     assert_eq!(run.metric(b).value(), 0.5);
 /// }
 /// ```
@@ -233,7 +232,8 @@ impl SearchBans {
     }
 }
 
-/// Borrowed result of a scratch-backed max-product Dijkstra run.
+/// Borrowed result of a max-product Dijkstra run taken to exhaustion
+/// ([`MaxProductResume::finish`]).
 #[derive(Debug)]
 pub struct MaxProductRun<'a> {
     source: NodeId,
@@ -281,109 +281,6 @@ fn walk_back(source: NodeId, node: NodeId, prev: &[usize]) -> Option<Path> {
     Some(Path::new(nodes))
 }
 
-/// Result of a max-product Dijkstra run from a single source.
-#[derive(Debug, Clone)]
-pub struct BestRates {
-    source: NodeId,
-    metric: Vec<f64>,
-    prev: Vec<Option<NodeId>>,
-}
-
-impl BestRates {
-    /// Best (largest) product metric from the source to `node`; `0.0` means
-    /// unreachable.
-    #[must_use]
-    pub fn metric(&self, node: NodeId) -> Metric {
-        Metric::new(self.metric[node.index()])
-    }
-
-    /// Reconstructs the best path to `node`, together with its metric.
-    /// Returns `None` if `node` is unreachable.
-    #[must_use]
-    pub fn path_to(&self, node: NodeId) -> Option<(Path, Metric)> {
-        if self.metric[node.index()] <= 0.0 && node != self.source {
-            return None;
-        }
-        let mut nodes = vec![node];
-        let mut cur = node;
-        while cur != self.source {
-            cur = self.prev[cur.index()]?;
-            nodes.push(cur);
-        }
-        nodes.reverse();
-        Some((Path::new(nodes), Metric::new(self.metric[node.index()])))
-    }
-}
-
-/// Max-product Dijkstra: finds, for every node, the path from `source`
-/// maximizing the product of edge factors and transit factors.
-///
-/// * `edge_factor(from, e)` — multiplicative success factor in `(0, 1]` for
-///   traversing edge `e` out of node `from`; return `None` to forbid the
-///   traversal (e.g. the far endpoint lacks capacity).
-/// * `transit_factor(u)` — factor charged when a path passes *through*
-///   non-source node `u` (i.e. when an edge leaves `u` after one entered);
-///   return `None` to forbid transit through `u` (it may still be a path
-///   endpoint).
-///
-/// The greedy argument requires all factors to lie in `(0, 1]`, which holds
-/// for probabilities; factors outside that range panic.
-///
-/// # Panics
-///
-/// Panics if `source` is out of bounds or a factor is outside `(0, 1]`.
-pub fn max_product_dijkstra<N, E>(
-    graph: &UnGraph<N, E>,
-    source: NodeId,
-    edge_factor: impl FnMut(NodeId, EdgeRef<'_, E>) -> Option<f64>,
-    transit_factor: impl FnMut(NodeId) -> Option<f64>,
-) -> BestRates {
-    let mut scratch = SearchScratch::with_capacity(graph.node_count());
-    max_product_dijkstra_with(&mut scratch, graph, source, edge_factor, transit_factor);
-    let n = graph.node_count();
-    let metric = (0..n)
-        .map(|i| {
-            if scratch.is_set(i) {
-                scratch.dist[i]
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    let prev = (0..n)
-        .map(|i| {
-            (scratch.is_set(i) && scratch.prev[i] != NO_PREV).then(|| NodeId::new(scratch.prev[i]))
-        })
-        .collect();
-    BestRates {
-        source,
-        metric,
-        prev,
-    }
-}
-
-/// Scratch-backed max-product Dijkstra: identical semantics to
-/// [`max_product_dijkstra`], but all working memory comes from the
-/// caller-provided `scratch` (Algorithm 2's Yen deviations issue hundreds
-/// of these per demand).
-///
-/// # Panics
-///
-/// Panics if `source` is out of bounds or a factor is outside `(0, 1]`.
-pub fn max_product_dijkstra_with<'s, N, E, FE, FT>(
-    scratch: &'s mut SearchScratch,
-    graph: &UnGraph<N, E>,
-    source: NodeId,
-    edge_factor: FE,
-    transit_factor: FT,
-) -> MaxProductRun<'s>
-where
-    FE: FnMut(NodeId, EdgeRef<'_, E>) -> Option<f64>,
-    FT: FnMut(NodeId) -> Option<f64>,
-{
-    max_product_resume(scratch, graph, source, edge_factor, transit_factor).finish()
-}
-
 /// A paused, goal-directed max-product Dijkstra run (see
 /// [`max_product_resume`]).
 #[derive(Debug)]
@@ -395,18 +292,33 @@ pub struct MaxProductResume<'s, 'g, N, E, FE, FT> {
     transit_factor: FT,
 }
 
-/// Starts a *resumable* max-product Dijkstra run: the search settles
-/// nodes lazily in non-increasing metric order, only as far as each
-/// [`MaxProductResume::run_to`] target requires, instead of exhausting
-/// the whole graph up front.
+/// Starts a *resumable* max-product Dijkstra run: for every node, the
+/// path from `source` maximizing the product of edge factors and transit
+/// factors.
 ///
-/// A paused run is [`max_product_dijkstra_with`] stopped early — same
-/// factor evaluations in the same order, same tie-breaking, same `f64`
-/// products — so the returned `(path, metric)` for a target is identical
-/// to the full run's `path_to`, at a fraction of the settle work when the
-/// target's metric is far above the graph's floor. Algorithm 2's width
-/// descent uses this to avoid settling the far side of a large graph it
-/// will never read.
+/// * `edge_factor(from, e)` — multiplicative success factor in `(0, 1]`
+///   for traversing edge `e` out of node `from`; return `None` to forbid
+///   the traversal (e.g. the far endpoint lacks capacity).
+/// * `transit_factor(u)` — factor charged when a path passes *through*
+///   non-source node `u` (i.e. when an edge leaves `u` after one entered);
+///   return `None` to forbid transit through `u` (it may still be a path
+///   endpoint).
+///
+/// The greedy argument requires all factors to lie in `(0, 1]`, which
+/// holds for probabilities; factors outside that range panic. All working
+/// memory comes from the caller-provided `scratch` (Algorithm 2's Yen
+/// deviations issue hundreds of searches per demand).
+///
+/// The search settles nodes lazily in non-increasing metric order, only
+/// as far as each [`MaxProductResume::run_to`] target requires, instead
+/// of exhausting the whole graph up front; [`MaxProductResume::finish`]
+/// runs it to exhaustion. A paused run is the exhaustive run stopped
+/// early — same factor evaluations in the same order, same tie-breaking,
+/// same `f64` products — so the returned `(path, metric)` for a target is
+/// identical to the finished run's `path_to`, at a fraction of the settle
+/// work when the target's metric is far above the graph's floor.
+/// Algorithm 2's width descent uses this to avoid settling the far side
+/// of a large graph it will never read.
 ///
 /// # Examples
 ///
@@ -523,9 +435,8 @@ where
         Some((path, m))
     }
 
-    /// Runs the remainder of the search to exhaustion, yielding the same
-    /// borrowed result a plain [`max_product_dijkstra_with`] call
-    /// produces.
+    /// Runs the remainder of the search to exhaustion and returns the
+    /// best metric and path to every node.
     pub fn finish(mut self) -> MaxProductRun<'s> {
         self.run_until(None);
         MaxProductRun {
@@ -619,7 +530,15 @@ mod tests {
         let mut g: UnGraph<(), f64> = UnGraph::new();
         let a = g.add_node(());
         let b = g.add_node(());
-        let best = max_product_dijkstra(&g, a, |_, e| Some(*e.weight), |_| Some(1.0));
+        let mut fresh_scratch = SearchScratch::new();
+        let best = max_product_resume(
+            &mut fresh_scratch,
+            &g,
+            a,
+            |_, e| Some(*e.weight),
+            |_| Some(1.0),
+        )
+        .finish();
         assert_eq!(best.metric(b), Metric::ZERO);
         assert!(best.path_to(b).is_none());
         assert_eq!(best.metric(a), Metric::ONE);
@@ -637,7 +556,15 @@ mod tests {
         g.add_edge(a, b, 0.9);
         g.add_edge(b, d, 0.9);
         g.add_edge(a, d, 0.5);
-        let best = max_product_dijkstra(&g, a, |_, e| Some(*e.weight), |_| Some(0.5));
+        let mut fresh_scratch = SearchScratch::new();
+        let best = max_product_resume(
+            &mut fresh_scratch,
+            &g,
+            a,
+            |_, e| Some(*e.weight),
+            |_| Some(0.5),
+        )
+        .finish();
         assert!((best.metric(d).value() - 0.5).abs() < 1e-12);
         assert_eq!(best.path_to(d).unwrap().0.nodes(), &[a, d]);
     }
@@ -652,7 +579,15 @@ mod tests {
         g.add_edge(b, d, 0.9);
         g.add_edge(a, d, 0.5);
         // With q = 0.9 the two-hop route wins: 0.9^3 = 0.729 > 0.5.
-        let best = max_product_dijkstra(&g, a, |_, e| Some(*e.weight), |_| Some(0.9));
+        let mut fresh_scratch = SearchScratch::new();
+        let best = max_product_resume(
+            &mut fresh_scratch,
+            &g,
+            a,
+            |_, e| Some(*e.weight),
+            |_| Some(0.9),
+        )
+        .finish();
         assert!((best.metric(d).value() - 0.729).abs() < 1e-12);
         assert_eq!(best.path_to(d).unwrap().0.nodes(), &[a, b, d]);
     }
@@ -665,7 +600,9 @@ mod tests {
         let d = g.add_node(());
         g.add_edge(a, b, 0.9);
         g.add_edge(b, d, 0.9);
-        let best = max_product_dijkstra(&g, a, |_, e| Some(*e.weight), |_| None);
+        let mut fresh_scratch = SearchScratch::new();
+        let best = max_product_resume(&mut fresh_scratch, &g, a, |_, e| Some(*e.weight), |_| None)
+            .finish();
         // b is reachable as an endpoint but cannot be transited.
         assert!(best.path_to(b).is_some());
         assert!(best.path_to(d).is_none());
@@ -674,7 +611,9 @@ mod tests {
     #[test]
     fn max_product_forbidden_edge() {
         let (g, [a, b, _c, d]) = diamond();
-        let best = max_product_dijkstra(
+        let mut fresh_scratch = SearchScratch::new();
+        let best = max_product_resume(
+            &mut fresh_scratch,
             &g,
             a,
             |_, e| {
@@ -682,7 +621,8 @@ mod tests {
                 (!banned).then_some(0.9)
             },
             |_| Some(1.0),
-        );
+        )
+        .finish();
         assert_eq!(best.path_to(d).unwrap().0.nodes(), &[a, _c, d]);
     }
 
@@ -703,14 +643,17 @@ mod tests {
         // Each run on the shared scratch must be independent of whatever
         // the previous one left behind.
         for source in [a, d, b, a, c] {
-            let run = max_product_dijkstra_with(
-                &mut scratch,
+            let run = max_product_resume(&mut scratch, &g, source, |_, _| Some(0.9), |_| Some(0.5))
+                .finish();
+            let mut fresh_scratch = SearchScratch::new();
+            let fresh = max_product_resume(
+                &mut fresh_scratch,
                 &g,
                 source,
                 |_, _| Some(0.9),
                 |_| Some(0.5),
-            );
-            let fresh = max_product_dijkstra(&g, source, |_, _| Some(0.9), |_| Some(0.5));
+            )
+            .finish();
             for node in [a, b, c, d] {
                 assert_eq!(run.metric(node), fresh.metric(node));
                 assert_eq!(run.path_to(node), fresh.path_to(node));
@@ -738,14 +681,15 @@ mod tests {
             let mut scratch = SearchScratch::new();
             for s in sources {
                 let s = NodeId::new(s);
-                let run = max_product_dijkstra_with(
+                let run = max_product_resume(
                     &mut scratch,
                     &g,
                     s,
                     |_, e| Some(*e.weight / 10.0),
                     |_| Some(0.7),
-                );
-                let fresh = max_product_dijkstra(&g, s, |_, e| Some(*e.weight / 10.0), |_| Some(0.7));
+                ).finish();
+                let mut fresh_scratch = SearchScratch::new();
+                let fresh = max_product_resume(&mut fresh_scratch, &g, s, |_, e| Some(*e.weight / 10.0), |_| Some(0.7)).finish();
                 for node in g.node_ids() {
                     prop_assert_eq!(run.metric(node), fresh.metric(node));
                     prop_assert_eq!(run.path_to(node), fresh.path_to(node));
@@ -776,7 +720,8 @@ mod tests {
             "running to b must leave d unsettled"
         );
         // Resuming to d settles the remainder and matches a fresh run.
-        let fresh = max_product_dijkstra(&g, a, factor, |_| Some(1.0));
+        let mut fresh_scratch = SearchScratch::new();
+        let fresh = max_product_resume(&mut fresh_scratch, &g, a, factor, |_| Some(1.0)).finish();
         assert_eq!(run.run_to(d), fresh.path_to(d));
     }
 
@@ -800,7 +745,15 @@ mod tests {
         let (g, [a, b, c, d]) = diamond();
         let mut scratch = SearchScratch::new();
         for (source, target) in [(a, d), (d, a), (b, c)] {
-            let fresh = max_product_dijkstra(&g, source, |_, _| Some(0.9), |_| Some(0.5));
+            let mut fresh_scratch = SearchScratch::new();
+            let fresh = max_product_resume(
+                &mut fresh_scratch,
+                &g,
+                source,
+                |_, _| Some(0.9),
+                |_| Some(0.5),
+            )
+            .finish();
             let mut run =
                 max_product_resume(&mut scratch, &g, source, |_, _| Some(0.9), |_| Some(0.5));
             assert_eq!(run.run_to(target), fresh.path_to(target));
@@ -818,7 +771,9 @@ mod tests {
         let d = g.add_node(());
         g.add_edge(a, b, 0.9);
         g.add_edge(b, d, 0.9);
-        let fresh = max_product_dijkstra(&g, a, |_, _| Some(0.9), |_| None);
+        let mut fresh_scratch = SearchScratch::new();
+        let fresh =
+            max_product_resume(&mut fresh_scratch, &g, a, |_, _| Some(0.9), |_| None).finish();
         let mut scratch = SearchScratch::new();
         let mut run = max_product_resume(&mut scratch, &g, a, |_, _| Some(0.9), |_| None);
         assert_eq!(run.run_to(b), fresh.path_to(b));
@@ -847,12 +802,13 @@ mod tests {
             }
             let source = NodeId::new(source);
             let mut scratch = SearchScratch::new();
-            let fresh = max_product_dijkstra(
+            let mut fresh_scratch = SearchScratch::new();
+            let fresh = max_product_resume(&mut fresh_scratch,
                 &g,
                 source,
                 |_, e| Some(*e.weight / 10.0),
                 |_| Some(0.7),
-            );
+            ).finish();
             let mut run = max_product_resume(
                 &mut scratch,
                 &g,
@@ -870,14 +826,15 @@ mod tests {
     fn scratch_grows_across_graph_sizes() {
         let mut scratch = SearchScratch::with_capacity(2);
         let (big, [a, _, _, d]) = diamond();
-        let run = max_product_dijkstra_with(&mut scratch, &big, a, |_, _| Some(0.5), |_| Some(1.0));
+        let run =
+            max_product_resume(&mut scratch, &big, a, |_, _| Some(0.5), |_| Some(1.0)).finish();
         assert_eq!(run.metric(d).value(), 0.25);
         // A smaller graph afterwards must not see the big graph's entries.
         let mut small: UnGraph<(), f64> = UnGraph::new();
         let x = small.add_node(());
         let y = small.add_node(());
         let run =
-            max_product_dijkstra_with(&mut scratch, &small, x, |_, _| Some(0.5), |_| Some(1.0));
+            max_product_resume(&mut scratch, &small, x, |_, _| Some(0.5), |_| Some(1.0)).finish();
         assert_eq!(run.metric(y), Metric::ZERO);
     }
 

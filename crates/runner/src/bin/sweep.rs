@@ -27,10 +27,10 @@
 
 use std::path::PathBuf;
 
-use fusion_bench::workloads::{preset_names, resolve_preset};
 use fusion_runner::campaign::{aggregate_campaign, run_campaign, RunOptions};
 use fusion_runner::spec::SweepSpec;
 use fusion_runner::store::CampaignStore;
+use fusion_sim::experiment::{preset_names, resolve_preset};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -12,7 +12,8 @@
 //! is bit-identical regardless of worker-thread count, shard order, or how
 //! many times the campaign was interrupted and resumed.
 
-use fusion_bench::workloads::{resolve_preset, Algorithm, ExperimentConfig};
+use fusion_bench::workloads::Algorithm;
+use fusion_sim::experiment::{resolve_preset, ExperimentConfig};
 use fusion_topology::GeneratorKind;
 
 /// A parsed specification value.

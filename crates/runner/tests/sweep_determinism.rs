@@ -145,7 +145,7 @@ fn resume_reuses_rows_instead_of_recomputing() {
 fn figures_scale_rows_aggregate_through_the_same_tooling() {
     // Satellite guarantee: `figures scale` emits rows the runner's
     // aggregator consumes directly.
-    let mut config = fusion_bench::workloads::ExperimentConfig::quick();
+    let mut config = fusion_sim::experiment::ExperimentConfig::quick();
     config.networks = 2;
     config.mc_rounds = 25;
     let rows = fusion_bench::figures::scale_rows(&config, "quick");

@@ -24,9 +24,8 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use fusion_serve::{
-    generate, presets, replay, resolve_preset, ReplayOptions, ServiceState, TraceConfig,
-};
+use fusion_serve::{generate, replay, ReplayOptions, ServiceState, TraceConfig};
+use fusion_sim::experiment::{preset_names, resolve_preset};
 use fusion_telemetry::Registry;
 
 fn main() {
@@ -37,10 +36,11 @@ fn main() {
             Err(e) => die(&e),
         },
         Some("presets") => {
-            for p in presets() {
+            for name in preset_names() {
+                let p = resolve_preset(name).expect("listed presets resolve");
                 println!(
-                    "{}  ({} switches, {} user pairs, h={})",
-                    p.name, p.topology.num_switches, p.topology.num_user_pairs, p.h
+                    "{name}  ({} switches, {} user pairs, h={})",
+                    p.topology.num_switches, p.topology.num_user_pairs, p.h
                 );
             }
         }
@@ -132,16 +132,15 @@ fn run_replay(args: &ReplayArgs) {
         die(&format!(
             "unknown preset {}; available: {}",
             args.preset_name,
-            presets()
-                .iter()
-                .map(|p| p.name)
-                .collect::<Vec<_>>()
-                .join(" ")
+            preset_names().join(" ")
         ));
     };
 
-    eprintln!("building {} instance {}...", preset.name, args.instance);
-    let net = preset.network_instance(args.instance);
+    eprintln!(
+        "building {} instance {}...",
+        args.preset_name, args.instance
+    );
+    let (net, _) = preset.instance(args.instance);
     eprintln!(
         "  {} nodes, {} edges",
         net.node_count(),
@@ -173,7 +172,7 @@ fn run_replay(args: &ReplayArgs) {
 
     let stats = &report.stats;
     let secs = elapsed.as_secs_f64();
-    println!("preset           {}", preset.name);
+    println!("preset           {}", args.preset_name);
     println!("events           {}", stats.events);
     println!("elapsed          {secs:.3} s");
     println!("events/sec       {:.1}", stats.events as f64 / secs);

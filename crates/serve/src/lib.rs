@@ -21,8 +21,6 @@
 //!   recurring-demand user pool).
 //! * [`mod@replay`] — the replay loop, producing a byte-stable event log
 //!   and aggregate statistics.
-//! * [`mod@presets`] — named world presets mirroring the batch
-//!   experiments.
 //!
 //! The correctness story is one equivalence oracle
 //! (`tests/service_oracle.rs`; see `docs/ARCHITECTURE.md` at the repo
@@ -37,13 +35,11 @@
 #![warn(missing_docs)]
 
 pub mod ledger;
-pub mod presets;
 pub mod replay;
 pub mod state;
 pub mod trace;
 
 pub use ledger::{LedgerError, ResidualLedger};
-pub use presets::{presets, resolve_preset, ServePreset};
 pub use replay::{replay, ReplayOptions, ReplayReport, ReplayStats};
 pub use state::{AdmitOutcome, LivePlan, PlanId, RejectReason, ServiceState, StateDigest};
 pub use trace::{generate, Trace, TraceConfig, TraceEvent, TraceEventKind};

@@ -2,13 +2,12 @@
 //! log on a preset world, and the link-failure path end to end (plans
 //! crossing a cut fiber are evicted and their capacity returned).
 
-use fusion_serve::{
-    generate, replay, resolve_preset, ReplayOptions, ServiceState, TraceConfig, TraceEventKind,
-};
+use fusion_serve::{generate, replay, ReplayOptions, ServiceState, TraceConfig, TraceEventKind};
+use fusion_sim::experiment::resolve_preset;
 
 fn quick_state() -> ServiceState {
     let preset = resolve_preset("quick").expect("quick preset exists");
-    ServiceState::new(preset.network_instance(0), preset.routing_config())
+    ServiceState::new(preset.instance(0).0, preset.routing_config())
 }
 
 /// Same preset, same trace seed => byte-identical logs and identical

@@ -31,9 +31,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use fusion_core::algorithms::{route_with_capacity_traced, RoutingConfig};
+use fusion_core::algorithms::{route_with_capacity_counted, RoutingConfig};
 use fusion_core::{NetworkParams, QuantumNetwork};
 use fusion_serve::{replay, ReplayOptions, ServiceState, Trace, TraceConfig, TraceEventKind};
+use fusion_telemetry::Registry;
 use fusion_topology::{GeneratorKind, TopologyConfig};
 
 use proptest::prelude::*;
@@ -130,12 +131,13 @@ fn check_service_case(
                         "serve refused as saturated but the reduced network still has qubits"
                     ),
                     Some(serve_trace) => {
-                        let batch = route_with_capacity_traced(
+                        let batch = route_with_capacity_counted(
                             &reduced,
                             &[demand],
                             &config,
                             &reduced.capacities(),
                             1,
+                            &Registry::disabled(),
                         );
                         prop_assert_eq!(
                             serve_trace.candidates == batch.candidates,

@@ -2,9 +2,10 @@
 //!
 //! Demands own disjoint qubits once routed, so their round outcomes are
 //! independent: the network entanglement rate is estimated per demand and
-//! summed. The parallel variant shards rounds across threads with
-//! independent seeded RNGs, keeping results reproducible for a fixed
-//! `(seed, threads)` pair.
+//! summed. [`estimate_plan_parallel_counted`] shards rounds across
+//! threads with independent seeded RNGs, keeping results reproducible for
+//! a fixed `(seed, threads)` pair; [`estimate_plan_counted`] is its serial
+//! form and [`estimate_demand_plan_counted`] estimates one demand plan.
 
 use fusion_core::{DemandPlan, NetworkPlan, QuantumNetwork, SwapMode};
 use fusion_telemetry::{Counter, Registry};
@@ -86,23 +87,9 @@ impl PlanEstimate {
 /// Seeding is per call: the same `(plan, seed, rounds)` triple always
 /// reproduces the same estimate, independent of what else was admitted.
 ///
-/// # Panics
-///
-/// Panics if `rounds == 0`.
-#[must_use]
-pub fn estimate_demand_plan(
-    net: &QuantumNetwork,
-    plan: &DemandPlan,
-    mode: SwapMode,
-    rounds: usize,
-    seed: u64,
-) -> RateEstimate {
-    estimate_demand_plan_counted(net, plan, mode, rounds, seed, &McCounters::default())
-}
-
-/// [`estimate_demand_plan`] with telemetry counters. The counts are
-/// recorded in bulk after the simulation loop, so instrumentation adds
-/// no per-round cost.
+/// Counts are recorded into `counters` in bulk after the simulation
+/// loop, so instrumentation adds no per-round cost (default handles
+/// record nothing).
 ///
 /// # Panics
 ///
@@ -129,23 +116,9 @@ pub fn estimate_demand_plan_counted(
     RateEstimate::from_successes(hits, rounds)
 }
 
-/// Estimates the plan's entanglement rate over `rounds` Monte Carlo rounds.
-///
-/// # Panics
-///
-/// Panics if `rounds == 0`.
-#[must_use]
-pub fn estimate_plan(
-    net: &QuantumNetwork,
-    plan: &NetworkPlan,
-    rounds: usize,
-    seed: u64,
-) -> PlanEstimate {
-    estimate_plan_counted(net, plan, rounds, seed, &McCounters::default())
-}
-
-/// [`estimate_plan`] with telemetry counters, recorded in bulk per
-/// demand after its simulation loop.
+/// Estimates the plan's entanglement rate over `rounds` Monte Carlo
+/// rounds, serially. Counts are recorded into `counters` in bulk per
+/// demand after its simulation loop (default handles record nothing).
 ///
 /// # Panics
 ///
@@ -179,30 +152,20 @@ pub fn estimate_plan_counted(
     PlanEstimate { per_demand, rounds }
 }
 
-/// Parallel variant of [`estimate_plan`]: rounds are split over `threads`
-/// workers with derived seeds.
+/// [`estimate_plan_counted`] with rounds split over up to `threads`
+/// workers with derived seeds, reproducible for a fixed
+/// `(seed, threads)` pair.
 ///
-/// # Panics
-///
-/// Panics if `rounds == 0` or `threads == 0`.
-#[must_use]
-pub fn estimate_plan_parallel(
-    net: &QuantumNetwork,
-    plan: &NetworkPlan,
-    rounds: usize,
-    seed: u64,
-    threads: usize,
-) -> PlanEstimate {
-    estimate_plan_parallel_counted(net, plan, rounds, seed, threads, &McCounters::default())
-}
-
-/// [`estimate_plan_parallel`] with telemetry counters.
+/// The worker count is capped at `rounds`, and each worker simulates
+/// `ceil(rounds / workers)` rounds per demand, so the effective round
+/// count ([`PlanEstimate::rounds`]) is `rounds` rounded up to a multiple
+/// of the worker count. With one worker (`threads == 1` or
+/// `rounds == 1`) this *is* [`estimate_plan_counted`], bit for bit.
 ///
 /// Counts are recorded once per demand from the main thread using the
-/// effective round count (`rounds` rounded up to a multiple of
-/// `threads`, exactly what [`PlanEstimate::rounds`] reports), so
-/// snapshots match the serial variant whenever `threads` divides
-/// `rounds` and never depend on worker scheduling.
+/// effective round count, so snapshots match the serial estimate whenever
+/// the worker count divides `rounds` and never depend on worker
+/// scheduling.
 ///
 /// # Panics
 ///
@@ -218,6 +181,10 @@ pub fn estimate_plan_parallel_counted(
 ) -> PlanEstimate {
     assert!(rounds > 0, "need at least one round");
     assert!(threads > 0, "need at least one thread");
+    let threads = threads.min(rounds);
+    if threads == 1 {
+        return estimate_plan_counted(net, plan, rounds, seed, counters);
+    }
     let per_thread = rounds.div_ceil(threads);
     let total_rounds = per_thread * threads;
     for dp in &plan.plans {
@@ -283,7 +250,7 @@ mod tests {
     #[test]
     fn monte_carlo_agrees_with_analytic() {
         let (net, plan) = routed_world();
-        let est = estimate_plan(&net, &plan, 8_000, 3);
+        let est = estimate_plan_counted(&net, &plan, 8_000, 3, &McCounters::default());
         let analytic = plan.total_rate(&net);
         // Eq. 1 is exact on series-parallel flows and optimistic on
         // reconvergent ones, so simulation may only undershoot — and by a
@@ -304,8 +271,9 @@ mod tests {
     #[test]
     fn parallel_matches_serial_statistics() {
         let (net, plan) = routed_world();
-        let serial = estimate_plan(&net, &plan, 4_000, 9);
-        let parallel = estimate_plan_parallel(&net, &plan, 4_000, 9, 4);
+        let serial = estimate_plan_counted(&net, &plan, 4_000, 9, &McCounters::default());
+        let parallel =
+            estimate_plan_parallel_counted(&net, &plan, 4_000, 9, 4, &McCounters::default());
         assert!(
             (serial.total_rate() - parallel.total_rate()).abs()
                 < 4.0 * (serial.total_stderr() + parallel.total_stderr()) + 0.05,
@@ -316,18 +284,48 @@ mod tests {
         assert!(parallel.rounds >= 4_000);
     }
 
+    /// Estimate plus the counter snapshot it recorded.
+    fn counted(
+        run: impl FnOnce(&McCounters) -> PlanEstimate,
+    ) -> (PlanEstimate, fusion_telemetry::MetricsSnapshot) {
+        let registry = Registry::enabled();
+        let est = run(&McCounters::from_registry(&registry));
+        (est, registry.snapshot())
+    }
+
     #[test]
     fn parallel_is_deterministic_per_seed_and_threads() {
         let (net, plan) = routed_world();
-        let a = estimate_plan_parallel(&net, &plan, 2_000, 5, 3);
-        let b = estimate_plan_parallel(&net, &plan, 2_000, 5, 3);
+        let a = estimate_plan_parallel_counted(&net, &plan, 2_000, 5, 3, &McCounters::default());
+        let b = estimate_plan_parallel_counted(&net, &plan, 2_000, 5, 3, &McCounters::default());
         assert_eq!(a.total_rate(), b.total_rate());
+
+        // One worker is the serial estimator, bit for bit.
+        let (serial, serial_counts) = counted(|c| estimate_plan_counted(&net, &plan, 2_000, 5, c));
+        let (one, one_counts) =
+            counted(|c| estimate_plan_parallel_counted(&net, &plan, 2_000, 5, 1, c));
+        assert_eq!(serial.rounds, one.rounds);
+        for (s, o) in serial.per_demand.iter().zip(&one.per_demand) {
+            assert_eq!(s.mean.to_bits(), o.mean.to_bits());
+            assert_eq!(s.stderr.to_bits(), o.stderr.to_bits());
+        }
+        assert_eq!(serial_counts, one_counts);
+    }
+
+    #[test]
+    fn parallel_workers_are_capped_at_rounds() {
+        // More threads than rounds must not simulate (or report) extra
+        // rounds: each of the three workers runs one round.
+        let (net, plan) = routed_world();
+        let (est, counts) = counted(|c| estimate_plan_parallel_counted(&net, &plan, 3, 5, 8, c));
+        assert_eq!(est.rounds, 3);
+        assert_eq!(counts.value("mc.rounds"), 3 * plan.plans.len() as u64);
     }
 
     #[test]
     fn estimates_are_probabilities() {
         let (net, plan) = routed_world();
-        let est = estimate_plan(&net, &plan, 500, 1);
+        let est = estimate_plan_counted(&net, &plan, 500, 1, &McCounters::default());
         for d in &est.per_demand {
             assert!((0.0..=1.0).contains(&d.mean));
         }

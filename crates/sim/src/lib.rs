@@ -14,7 +14,14 @@
 //!   checks, verifying the connectivity shortcut round by round.
 //! * [`exact`] — exact reliability by enumeration for small flow graphs,
 //!   used to validate both Equation 1 and the samplers.
-//! * [`evaluate`] — plan-level rate estimation with optional parallelism.
+//! * [`evaluate`] — plan-level rate estimation:
+//!   [`estimate_plan_parallel_counted`] (one worker is the serial
+//!   [`estimate_plan_counted`]) and the per-demand
+//!   [`estimate_demand_plan_counted`].
+//! * [`experiment`] — [`ExperimentConfig`](experiment::ExperimentConfig)
+//!   and the named presets (`default`, `quick`, `large-*`) that the
+//!   figure harness, the sweep runner and the serve binary all build
+//!   their worlds from.
 //! * [`failure`] — failure injection (switch outages, link decay).
 //! * [`multiparty`] — sampling for the k-party GHZ extension.
 //! * [`timeline`] — time-slotted operation with arrivals, re-planning,
@@ -31,6 +38,7 @@
 pub mod connectivity;
 pub mod evaluate;
 pub mod exact;
+pub mod experiment;
 pub mod failure;
 pub mod multiparty;
 pub mod protocol;
@@ -39,8 +47,8 @@ pub mod timeline;
 
 pub use connectivity::{ClassicSampler, FlowSampler, PlanSampler};
 pub use evaluate::{
-    estimate_demand_plan, estimate_demand_plan_counted, estimate_plan, estimate_plan_counted,
-    estimate_plan_parallel, estimate_plan_parallel_counted, McCounters, PlanEstimate,
+    estimate_demand_plan_counted, estimate_plan_counted, estimate_plan_parallel_counted,
+    McCounters, PlanEstimate,
 };
 pub use protocol::{RoundOutcome, RoundSimulator};
 pub use stats::RateEstimate;

@@ -10,6 +10,8 @@
 //! * [`sim`] — Monte Carlo simulation of the entanglement process.
 //! * [`serve`] — the online demand engine (admit/depart over a residual
 //!   ledger) and its trace-replay harness.
+//! * [`telemetry`] — the counter registry the `_counted` entry points
+//!   record into.
 
 #![forbid(unsafe_code)]
 
@@ -18,4 +20,5 @@ pub use fusion_graph as graph;
 pub use fusion_quantum as quantum;
 pub use fusion_serve as serve;
 pub use fusion_sim as sim;
+pub use fusion_telemetry as telemetry;
 pub use fusion_topology as topology;

@@ -6,7 +6,9 @@
 use ghz_entanglement_routing::core::algorithms::alg_n_fusion;
 use ghz_entanglement_routing::core::baselines::route_qcast;
 use ghz_entanglement_routing::core::{metrics, Demand, NetworkParams, QuantumNetwork};
-use ghz_entanglement_routing::sim::evaluate::{estimate_plan, estimate_plan_parallel};
+use ghz_entanglement_routing::sim::evaluate::{
+    estimate_plan_counted, estimate_plan_parallel_counted, McCounters,
+};
 use ghz_entanglement_routing::sim::exact;
 use ghz_entanglement_routing::topology::TopologyConfig;
 
@@ -71,7 +73,7 @@ fn eq1_matches_exact_on_routed_flows() {
 fn eq1_matches_monte_carlo_per_demand() {
     let (net, demands) = world(3);
     let plan = alg_n_fusion(&net, &demands);
-    let est = estimate_plan(&net, &plan, 20_000, 17);
+    let est = estimate_plan_counted(&net, &plan, 20_000, 17, &McCounters::default());
     let mut optimism = Vec::new();
     for (i, dp) in plan.plans.iter().enumerate() {
         let analytic = metrics::flow_rate(&net, &dp.flow).value();
@@ -101,7 +103,7 @@ fn eq1_matches_monte_carlo_per_demand() {
 fn classic_formula_matches_lane_sampling() {
     let (net, demands) = world(4);
     let plan = route_qcast(&net, &demands, 5);
-    let est = estimate_plan(&net, &plan, 20_000, 23);
+    let est = estimate_plan_counted(&net, &plan, 20_000, 23, &McCounters::default());
     for (i, dp) in plan.plans.iter().enumerate() {
         let analytic = dp.rate(&net, plan.mode);
         assert!(
@@ -116,8 +118,9 @@ fn classic_formula_matches_lane_sampling() {
 fn parallel_estimation_is_consistent() {
     let (net, demands) = world(6);
     let plan = alg_n_fusion(&net, &demands);
-    let serial = estimate_plan(&net, &plan, 6_000, 31);
-    let parallel = estimate_plan_parallel(&net, &plan, 6_000, 31, 4);
+    let serial = estimate_plan_counted(&net, &plan, 6_000, 31, &McCounters::default());
+    let parallel =
+        estimate_plan_parallel_counted(&net, &plan, 6_000, 31, 4, &McCounters::default());
     assert!(
         (serial.total_rate() - parallel.total_rate()).abs()
             < 4.0 * (serial.total_stderr() + parallel.total_stderr()) + 0.05,
@@ -136,7 +139,7 @@ fn uniform_p_sweep_shifts_measured_rates() {
     for p in [0.1, 0.2, 0.3, 0.4] {
         net.set_uniform_link_success(Some(p));
         let plan = alg_n_fusion(&net, &demands);
-        let est = estimate_plan(&net, &plan, 3_000, 2);
+        let est = estimate_plan_counted(&net, &plan, 3_000, 2, &McCounters::default());
         let rate = est.total_rate();
         assert!(
             rate >= last - 0.15,

@@ -14,6 +14,7 @@ use ghz_entanglement_routing::core::{
 };
 use ghz_entanglement_routing::graph::{NodeId, Path};
 use ghz_entanglement_routing::sim;
+use ghz_entanglement_routing::telemetry::Registry;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -140,9 +141,9 @@ proptest! {
         ];
         let capacity = net.capacities();
         let candidates =
-            alg2::paths_selection(&net, &demands, &capacity, h, 4, SwapMode::NFusion);
+            alg2::paths_selection_counted(&net, &demands, &capacity, h, 4, SwapMode::NFusion, &Registry::disabled());
         let outcome =
-            alg3::paths_merge(&net, &demands, &candidates, SwapMode::NFusion, share);
+            alg3::paths_merge(&net, &demands, &candidates, SwapMode::NFusion, share, None, &capacity);
         for node in net.graph().node_ids().filter(|&n| net.is_switch(n)) {
             let spent: u32 = outcome.plans.iter().map(|p| p.flow.qubits_at(node)).sum();
             prop_assert!(spent <= net.capacity(node));
